@@ -6,20 +6,22 @@ rotation argument: inserting c at position i and rotating by i+1 yields
 rotate(w, i)·c, so w is non-ins-robust exactly when some length-n window of
 ww starting at i ≤ n has a period p that divides n+1 with p ≤ n — the
 inserted letter is then forced and the extended word is a perfect power.
-Scanning one extension array per divisor of n+1 makes this O(n · d(n+1)).
+One window scan per divisor of n+1 makes this O(n · d(n+1)).
+
+The scan is plain stdlib: ww is encoded at a fixed width (latin-1, or
+utf-32-le when a symbol is above U+00FF), XORed with itself shifted by p
+symbols as one big integer, and ``bytes.find`` looks for the first run of
+n-p zero symbols.  Each scan holds a few transient buffers of 2n·width bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import Iterator
 
 from .repetitions import find_maximal_repetitions
 from .words import Word, _root_length, insert, primitive_root
-
-_VECTOR_SCAN_MIN = 4096
 
 
 class Verdict(Enum):
@@ -102,44 +104,42 @@ def eligible_periods(n: int) -> tuple[int, ...]:
     return tuple(sorted(p for p in divisors if p <= n))
 
 
-def _codes(s: str) -> np.ndarray:
-    try:
-        return np.frombuffer(s.encode("latin-1"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-
-
-def _leftmost_periodic_start(v: str, n: int, p: int, codes: np.ndarray | None):
+def _leftmost_periodic_start(b: bytes, n: int, p: int) -> int | None:
     """Smallest i in [0, n] whose length-n window of v has period p, else None.
 
-    The window at i has period p iff v[t] == v[t+p] for every t in
-    [i, i+n-p-1]; the scan looks for n-p consecutive agreements.
+    ``b`` is v = ww at len(b) // (2n) bytes per symbol.  The window at i has
+    period p iff v[t] == v[t+p] for every t in [i, i+n-p-1]: a run of n-p
+    zero symbols in v XOR (v shifted by p), ending by symbol 2n-p, where the
+    shifted copy runs out.  A zero run at an offset off the symbol grid is
+    searched again from the next symbol.  Transient memory: a few buffers of
+    len(b) bytes.
     """
     need = n - p
     if need <= 0:
         return 0
-    if codes is not None:
-        eq = codes[p:] == codes[: len(codes) - p]
-        sums = np.empty(len(eq) + 1, dtype=np.int64)
-        sums[0] = 0
-        np.cumsum(eq, out=sums[1:])
-        window = sums[need : need + n + 1] - sums[: n + 1]
-        hit = window == need
-        i = int(np.argmax(hit))
-        return i if hit[i] else None
-    run_start = 0
-    t = 0
-    limit = n + need  # agreements at t up to i + need - 1 for the last start i = n
-    while t < limit:
-        if v[t] == v[t + p]:
-            if t - run_start + 1 >= need:
-                return run_start
-            t += 1
-        else:
-            run_start = t + 1
-            if run_start > n:
-                return None
-            t = run_start
+    width = len(b) // (2 * n)
+    x = int.from_bytes(b, "little")
+    diff = (x ^ (x >> (8 * width * p))).to_bytes(len(b), "little")
+    zeros = bytes(need * width)
+    end = (2 * n - p) * width
+    j = diff.find(zeros, 0, end)
+    while j > 0 and j % width:
+        j = diff.find(zeros, j - j % width + width, end)
+    return None if j < 0 else j // width
+
+
+def _first_hit(s: str, periods: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first (p, i) in ``periods`` order whose window of ss at i has period p."""
+    n = len(s)
+    try:
+        e = s.encode("latin-1")
+    except UnicodeEncodeError:
+        e = s.encode("utf-32-le", "surrogatepass")
+    b = e + e
+    for p in periods:
+        i = _leftmost_periodic_start(b, n, p)
+        if i is not None:
+            return p, i
     return None
 
 
@@ -156,23 +156,31 @@ def classify_fast(w: Word) -> Classification:
     r = _root_length(s)
     if r < n:
         return Classification.non_primitive(Word(s[:r], w.alphabet), n // r)
-    v = s + s
-    codes = _codes(v) if n >= _VECTOR_SCAN_MIN else None
-    for p in eligible_periods(n):
-        start = _leftmost_periodic_start(v, n, p, codes)
-        if start is None:
-            continue
-        letter = v[start + p - 1]
-        extended = insert(w, start, letter)
-        root, power = primitive_root(extended)
-        if power < 2:
-            raise RuntimeError(
-                f"window scan produced a primitive extension for {s!r} (p={p}, i={start})"
-            )
-        return Classification.non_ins_robust(
-            (InsertionWitness(position=start, letter=letter, root=root, power=power),)
+    hit = _first_hit(s, eligible_periods(n))
+    if hit is None:
+        return Classification.ins_robust()
+    p, start = hit
+    letter = s[(start + p - 1) % n]
+    root, power = primitive_root(insert(w, start, letter))
+    if power < 2:
+        raise RuntimeError(
+            f"window scan produced a primitive extension for {s!r} (p={p}, i={start})"
         )
-    return Classification.ins_robust()
+    return Classification.non_ins_robust(
+        (InsertionWitness(position=start, letter=letter, root=root, power=power),)
+    )
+
+
+def _collapsing_insertions(s: str, symbols: str) -> Iterator[tuple[int, str, int]]:
+    """Each (position, letter, root length) whose insertion into ``s`` gives
+    a proper power, in (position, alphabet) order."""
+    n = len(s)
+    for position in range(n + 1):
+        head, tail = s[:position], s[position:]
+        for letter in symbols:
+            er = _root_length(head + letter + tail)
+            if er < n + 1:
+                yield position, letter, er
 
 
 def classify_oracle(w: Word) -> Classification:
@@ -187,23 +195,17 @@ def classify_oracle(w: Word) -> Classification:
     r = _root_length(s)
     if r < n:
         return Classification.non_primitive(Word(s[:r], w.alphabet), n // r)
-    witnesses = []
-    for position in range(n + 1):
-        head, tail = s[:position], s[position:]
-        for letter in w.alphabet:
-            extended = head + letter + tail
-            er = _root_length(extended)
-            if er < n + 1:
-                witnesses.append(
-                    InsertionWitness(
-                        position=position,
-                        letter=letter,
-                        root=Word(extended[:er], w.alphabet),
-                        power=(n + 1) // er,
-                    )
-                )
+    witnesses = tuple(
+        InsertionWitness(
+            position=position,
+            letter=letter,
+            root=Word((s[:position] + letter + s[position:])[:er], w.alphabet),
+            power=(n + 1) // er,
+        )
+        for position, letter, er in _collapsing_insertions(s, w.alphabet.symbols)
+    )
     if witnesses:
-        return Classification.non_ins_robust(tuple(witnesses))
+        return Classification.non_ins_robust(witnesses)
     return Classification.ins_robust()
 
 
@@ -287,23 +289,14 @@ def non_ins_robust_decomposition(
 
 def _fast_verdict_chars(s: str, periods: tuple[int, ...]) -> Verdict:
     # census hot path: verdict only, no Word/witness construction
-    n = len(s)
-    if _root_length(s) < n:
+    if _root_length(s) < len(s):
         return Verdict.NON_PRIMITIVE
-    v = s + s
-    for p in periods:
-        if _leftmost_periodic_start(v, n, p, None) is not None:
-            return Verdict.NON_INS_ROBUST
-    return Verdict.INS_ROBUST
+    hit = _first_hit(s, periods)
+    return Verdict.INS_ROBUST if hit is None else Verdict.NON_INS_ROBUST
 
 
 def _oracle_verdict_chars(s: str, symbols: str) -> Verdict:
-    n = len(s)
-    if _root_length(s) < n:
+    if _root_length(s) < len(s):
         return Verdict.NON_PRIMITIVE
-    for position in range(n + 1):
-        head, tail = s[:position], s[position:]
-        for letter in symbols:
-            if _root_length(head + letter + tail) < n + 1:
-                return Verdict.NON_INS_ROBUST
-    return Verdict.INS_ROBUST
+    hit = next(_collapsing_insertions(s, symbols), None)
+    return Verdict.INS_ROBUST if hit is None else Verdict.NON_INS_ROBUST

@@ -10,6 +10,7 @@ the closed forms are tested against.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -180,8 +181,9 @@ def census(
 
     ``audit_oracle`` re-checks each word against the insertion oracle and
     raises ``OracleMismatchError`` on any disagreement.  ``workers`` > 1
-    shards the enumeration across processes; tallies and word lists are
-    merged in rank order, so results are identical for any worker count.
+    shards the enumeration across that many processes, at most one per CPU;
+    tallies and word lists are merged in rank order, so results are
+    identical for any worker count.
     """
     if n < 1:
         raise ValueError("census requires a word length n >= 1")
@@ -195,6 +197,7 @@ def census(
             " raise the budget to proceed"
         )
     symbols = alphabet.symbols
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         bounds = [total * i // workers for i in range(workers + 1)]
         spans = [

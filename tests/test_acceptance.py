@@ -23,6 +23,7 @@ from insrobust import (
     classify_oracle,
     count_primitive,
     count_report,
+    eligible_periods,
     find_maximal_repetitions,
     is_ins_robust_runs_only,
     is_primitive,
@@ -307,4 +308,24 @@ class TestAcceptance:
             ok,
             f"10^6 chars in {best:.3f}s, log-log slope {slope:.2f}, "
             f"{ratio:.0f}x oracle at 10^4",
+        )
+
+    def test_11_hard_length_budget(self):
+        # n+1 = 720720 has 240 divisors, so a robust word needs 239 window
+        # scans, against 3 at n = 10^6 in test_10.  A per-symbol Python
+        # scan takes about 26 s here.
+        n = 720_719
+        rng = random.Random(n)
+        w = bw("".join(rng.choices("ab", k=n)))
+        periods = eligible_periods(n)
+        best = min(_timed(w) for _ in range(3))
+        ok = (
+            len(periods) == 239
+            and classify_fast(w).verdict is Verdict.INS_ROBUST
+            and best < 8.0
+        )
+        _report(
+            "11 fast classifier at a hard length",
+            ok,
+            f"n = {n}, {len(periods)} periods scanned in {best:.3f}s (budget 8s)",
         )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from conftest import BINARY, TERNARY, all_words
 from hypothesis import given
@@ -309,3 +311,93 @@ class TestPaddingFailureShape:
                 u = padded.chars[:p]
                 assert padded.chars == u + u + "a" * (p - 1), w.chars
                 assert sum(1 for ch in u if ch != "a") == 1, w.chars
+
+
+CODEPOINTS = Alphabet("\u0100\u0101\u0102")  # equal but for the low byte of utf-32
+
+
+def _fragile_word(n: int, alphabet: Alphabet, period: int, rng: random.Random) -> Word:
+    """u^m with |u| = period and one letter deleted, then rotated and/or reversed.
+
+    Re-inserting the deleted letter gives a rotation of u^m, so a primitive
+    result is non-ins-robust; the draw is repeated until it is primitive.
+    """
+    while True:
+        u = "".join(rng.choices(alphabet.symbols, k=period))
+        full = u * ((n + 1) // period)
+        cut = rng.randrange(n + 1)
+        chars = full[:cut] + full[cut + 1 :]
+        shift = rng.randrange(n)
+        chars = chars[shift:] + chars[:shift]
+        if rng.random() < 0.5:
+            chars = chars[::-1]
+        w = Word(chars, alphabet)
+        if is_primitive(w):
+            return w
+
+
+def _spread_periods(n: int) -> list[int]:
+    # the smallest, a middle and the largest eligible period of at least 2
+    periods = [p for p in eligible_periods(n) if 2 <= p <= (n + 1) // 2]
+    return sorted({periods[0], periods[len(periods) // 2], periods[-1]})
+
+
+def _assert_fast_matches_oracle(w: Word, fragile: bool = False) -> None:
+    fast = classify_fast(w)
+    oracle = classify_oracle(w)
+    assert fast.verdict is oracle.verdict, w.chars
+    assert not fragile or fast.verdict is Verdict.NON_INS_ROBUST, w.chars
+    if fast.verdict is not Verdict.NON_INS_ROBUST:
+        return
+    # witness contract: smallest root length, then leftmost position
+    (wit,) = fast.witnesses
+    assert wit == min(oracle.witnesses, key=lambda o: (len(o.root), o.position))
+    copies, u1, u2, trailing = non_ins_robust_decomposition(w, wit)
+    root = wit.root.chars
+    assert root * copies + u1.chars + u2.chars + root * trailing == w.chars
+    assert u1.chars + wit.letter + u2.chars == root
+
+
+class TestFragileAtScale:
+    """Built fragile words at n from 31 to 4097, over every kind of n+1.
+
+    Random words are almost always ins-robust, so only built words reach the
+    witness branch at these lengths.  The codepoint alphabet needs four bytes
+    per symbol, where a zero run can start off the symbol grid.
+    """
+
+    # n+1: prime powers 2^5, 3^5, 2^10; highly composite 36, 360, 720, 840
+    LENGTHS = (31, 242, 1023, 35, 359, 719, 839)
+
+    @pytest.mark.parametrize("alphabet", [BINARY, TERNARY, CODEPOINTS], ids=repr)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_built_fragile_words(self, n, alphabet):
+        rng = random.Random(n)
+        for period in _spread_periods(n):
+            _assert_fast_matches_oracle(_fragile_word(n, alphabet, period, rng), fragile=True)
+
+    @pytest.mark.parametrize("alphabet", [BINARY, TERNARY, CODEPOINTS], ids=repr)
+    @pytest.mark.parametrize("n", (4095, 4097))  # n+1 = 2^12 and 2 3 683
+    def test_around_former_vector_threshold(self, n, alphabet):
+        # one middle period each: the oracle costs ~0.4 s a word here
+        rng = random.Random(n)
+        periods = _spread_periods(n)
+        w = _fragile_word(n, alphabet, periods[len(periods) // 2], rng)
+        _assert_fast_matches_oracle(w, fragile=True)
+
+    def test_codepoint_window_off_the_symbol_grid(self):
+        # U+0100 xor U+0101 is one byte 01 followed by zero bytes, so the
+        # first zero run of "ĀĀāĀĀā" shifted by 2 starts inside a symbol
+        for chars in ("\u0100\u0100\u0101", "\u0101\u0100\u0100\u0101\u0100"):
+            _assert_fast_matches_oracle(Word(chars, CODEPOINTS), fragile=True)
+
+    def test_lone_surrogates_are_symbols(self):
+        # a str may hold lone surrogates, which utf-32 encodes only with
+        # surrogatepass
+        alphabet = Alphabet("\ud800a")
+        for w in all_words(alphabet, 1, 6):
+            _assert_fast_matches_oracle(w)
+
+    def test_exhaustive_codepoints_up_to_7(self):
+        for w in all_words(CODEPOINTS, 1, 7):
+            _assert_fast_matches_oracle(w)

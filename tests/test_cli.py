@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -367,6 +368,29 @@ class TestParserBehavior:
         )
         assert proc.returncode == 0, proc.stderr
         assert "primitive\t54" in proc.stdout
+
+    def test_classify_runs_without_numpy(self):
+        # numpy is blocked in the child, so importing it anywhere on the
+        # classify path fails; a word past 4096 symbols and a word needing
+        # four bytes per symbol cover both widths of the window scan
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from insrobust.cli import main\n"
+            "sys.exit(main(['classify', 'ab' * 3000 + 'b', '\u0100\u0100\u0101', '--unicode']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            encoding="utf-8",
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        assert lines[0].endswith("b\tnon-ins-robust\tinsert a at 6000 -> ab^3001")
+        assert lines[1] == "\u0100\u0100\u0101\tnon-ins-robust\tinsert \u0101 at 1 -> \u0100\u0101^2"
 
     @pytest.mark.skipif(
         shutil.which("insrobust") is None, reason="the insrobust console script is not on PATH"

@@ -11,6 +11,7 @@ from insrobust import (
     census,
     count_primitive,
     count_report,
+    counting,
     is_primitive,
 )
 
@@ -137,6 +138,32 @@ class TestCensus:
         sharded = census(7, BINARY, list_words=True, workers=3)
         assert sequential == sharded
         assert census(4, TERNARY, workers=2) == census(4, TERNARY)
+
+    def test_worker_count_is_capped_at_cpu_count(self, monkeypatch):
+        # a fake pool records the requested worker count and maps in-process,
+        # so no process is started however many workers are asked for
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", InProcessPool)
+        sequential = census(7, BINARY, list_words=True)
+        for cpus in (None, 1, 3):
+            monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
+            requested.clear()
+            assert census(7, BINARY, list_words=True, workers=10_000) == sequential
+            assert requested == ([3] if cpus == 3 else [])
 
     def test_validation(self):
         with pytest.raises(ValueError):
