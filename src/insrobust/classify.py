@@ -6,7 +6,11 @@ rotation argument: inserting c at position i and rotating by i+1 yields
 rotate(w, i)·c, so w is non-ins-robust exactly when some length-n window of
 ww starting at i ≤ n has a period p that divides n+1 with p ≤ n — the
 inserted letter is then forced and the extended word is a perfect power.
-One window scan per divisor of n+1 makes this O(n · d(n+1)).
+A window with period p also has every multiple of p as a period, so only the
+maximal periods (n+1)/q, one per prime q of n+1, need a scan to decide: an
+ins-robust word costs ω(n+1) window scans, O(n · ω(n+1)) in all, and a
+fragile one ω(n+1) plus the smaller periods those hits allow, up to the
+first that hits.
 
 The scan is plain stdlib: ww is encoded at a fixed width (latin-1, or
 utf-32-le when a symbol is above U+00FF), XORed with itself shifted by p
@@ -128,18 +132,49 @@ def _leftmost_periodic_start(b: bytes, n: int, p: int) -> int | None:
     return None if j < 0 else j // width
 
 
-def _first_hit(s: str, periods: tuple[int, ...]) -> tuple[int, int] | None:
-    """The first (p, i) in ``periods`` order whose window of ss at i has period p."""
+def _maximal_periods(n: int, periods: tuple[int, ...]) -> tuple[int, ...]:
+    """The periods (n+1)/q for the primes q dividing n+1, ascending.
+
+    ``periods`` is ``eligible_periods(n)``, the divisors of n+1 below n+1, so
+    a divisor above 1 is prime iff no smaller prime divisor divides it.  An
+    eligible p divides (n+1)/q exactly when q divides (n+1)/p.
+    """
+    m = n + 1
+    primes: list[int] = []
+    for d in periods[1:] + (m,):
+        if all(d % q for q in primes):
+            primes.append(d)
+    return tuple(m // q for q in reversed(primes))
+
+
+def _first_hit(
+    s: str, periods: tuple[int, ...], maximal: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """The smallest p in ``periods`` whose window of ss at some i has period p,
+    with the leftmost such i.
+
+    A window with period p has every multiple of p as a period too, so p can
+    hit only where every maximal period it divides hits.  The maximal periods
+    are scanned first; then, in ascending order, only the periods they allow.
+    """
     n = len(s)
     try:
         e = s.encode("latin-1")
     except UnicodeEncodeError:
         e = s.encode("utf-32-le", "surrogatepass")
     b = e + e
-    for p in periods:
-        i = _leftmost_periodic_start(b, n, p)
+    hits: dict[int, int] = {}
+    for top in maximal:
+        i = _leftmost_periodic_start(b, n, top)
         if i is not None:
-            return p, i
+            hits[top] = i
+    if not hits:
+        return None
+    for p in periods:
+        if all(top in hits for top in maximal if top % p == 0):
+            i = hits[p] if p in hits else _leftmost_periodic_start(b, n, p)
+            if i is not None:
+                return p, i
     return None
 
 
@@ -156,7 +191,8 @@ def classify_fast(w: Word) -> Classification:
     r = _root_length(s)
     if r < n:
         return Classification.non_primitive(Word(s[:r], w.alphabet), n // r)
-    hit = _first_hit(s, eligible_periods(n))
+    periods = eligible_periods(n)
+    hit = _first_hit(s, periods, _maximal_periods(n, periods))
     if hit is None:
         return Classification.ins_robust()
     p, start = hit
@@ -287,11 +323,12 @@ def non_ins_robust_decomposition(
     return copies, Word(u1, w.alphabet), Word(u2, w.alphabet), trailing
 
 
-def _fast_verdict_chars(s: str, periods: tuple[int, ...]) -> Verdict:
-    # census hot path: verdict only, no Word/witness construction
+def _fast_verdict_chars(s: str, maximal: tuple[int, ...]) -> Verdict:
+    # census hot path: verdict only, no Word/witness construction; some period
+    # hits iff a maximal one does, so the maximal periods are all it scans
     if _root_length(s) < len(s):
         return Verdict.NON_PRIMITIVE
-    hit = _first_hit(s, periods)
+    hit = _first_hit(s, maximal, maximal)
     return Verdict.INS_ROBUST if hit is None else Verdict.NON_INS_ROBUST
 
 

@@ -15,7 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .classify import Verdict, _fast_verdict_chars, _oracle_verdict_chars, eligible_periods
+from .classify import (
+    Verdict,
+    _fast_verdict_chars,
+    _maximal_periods,
+    _oracle_verdict_chars,
+    eligible_periods,
+)
 from .words import Alphabet
 
 DEFAULT_CENSUS_BUDGET = 1 << 24
@@ -151,13 +157,13 @@ def _lex_words(symbols: str, n: int, lo: int, hi: int) -> Iterator[str]:
 
 def _census_span(args: tuple[str, int, int, int, bool, bool]):
     symbols, n, lo, hi, list_words, audit = args
-    periods = eligible_periods(n)
+    maximal = _maximal_periods(n, eligible_periods(n))
     counts = dict.fromkeys(Verdict, 0)
     words: dict[Verdict, list[str]] | None
     words = {v: [] for v in Verdict} if list_words else None
     mismatches: list[tuple[str, str, str]] = []
     for s in _lex_words(symbols, n, lo, hi):
-        verdict = _fast_verdict_chars(s, periods)
+        verdict = _fast_verdict_chars(s, maximal)
         if audit:
             check = _oracle_verdict_chars(s, symbols)
             if check is not verdict:

@@ -311,9 +311,9 @@ class TestAcceptance:
         )
 
     def test_11_hard_length_budget(self):
-        # n+1 = 720720 has 240 divisors, so a robust word needs 239 window
-        # scans, against 3 at n = 10^6 in test_10.  A per-symbol Python
-        # scan takes about 26 s here.
+        # n+1 = 720720 has 240 divisors, 239 of them eligible periods, but
+        # only 6 distinct primes, so a robust word needs 6 window scans, one
+        # per maximal period, against 2 at n = 10^6 in test_10.
         n = 720_719
         rng = random.Random(n)
         w = bw("".join(rng.choices("ab", k=n)))
@@ -327,5 +327,6 @@ class TestAcceptance:
         _report(
             "11 fast classifier at a hard length",
             ok,
-            f"n = {n}, {len(periods)} periods scanned in {best:.3f}s (budget 8s)",
+            f"n = {n}, {len(periods)} eligible periods in 6 window scans, "
+            f"{best:.3f}s (budget 8s)",
         )

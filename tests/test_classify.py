@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import BINARY, TERNARY, all_words
+from conftest import BINARY, TERNARY, all_strings, all_words
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,6 +23,7 @@ from insrobust import (
     rotate,
     reverse,
 )
+from insrobust import classify as classify_module
 
 ternary_words = st.text(alphabet="abc", min_size=1, max_size=24).map(
     lambda s: Word(s, TERNARY)
@@ -401,3 +402,107 @@ class TestFragileAtScale:
     def test_exhaustive_codepoints_up_to_7(self):
         for w in all_words(CODEPOINTS, 1, 7):
             _assert_fast_matches_oracle(w)
+
+
+def _full_scan(s: str, periods: tuple[int, ...]) -> tuple[int, int] | None:
+    """Reference: one window scan per eligible period, in ascending order."""
+    n = len(s)
+    try:
+        e = s.encode("latin-1")
+    except UnicodeEncodeError:
+        e = s.encode("utf-32-le", "surrogatepass")
+    for p in periods:
+        i = classify_module._leftmost_periodic_start(e + e, n, p)
+        if i is not None:
+            return p, i
+    return None
+
+
+def _hit_and_plan(s: str):
+    periods = eligible_periods(len(s))
+    maximal = classify_module._maximal_periods(len(s), periods)
+    return classify_module._first_hit(s, periods, maximal), periods, maximal
+
+
+class TestHitGuidedScan:
+    """``_first_hit`` scans the maximal periods (n+1)/q first, then only the
+    periods they allow; it must return what the full ascending scan does."""
+
+    def test_maximal_periods(self):
+        assert classify_module._maximal_periods(719, eligible_periods(719)) == (144, 240, 360)
+        for n in range(1, 400):
+            m = n + 1
+            primes = [
+                q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))
+            ]
+            expected = tuple(sorted(m // q for q in primes))
+            assert classify_module._maximal_periods(n, eligible_periods(n)) == expected, n
+
+    def test_matches_full_scan_exhaustive(self):
+        for symbols, longest in (("ab", 14), ("abc", 8)):
+            for s in all_strings(symbols, 1, longest):
+                hit, periods, _ = _hit_and_plan(s)
+                assert hit == _full_scan(s, periods), s
+
+    @pytest.mark.parametrize("alphabet", [BINARY, TERNARY, CODEPOINTS], ids=repr)
+    def test_matches_full_scan_when_several_maximal_periods_hit(self, alphabet):
+        # n+1 = 720 = 2^4 3^2 5: a word built on p = 120 also hits the maximal
+        # periods 240 and 360, and the first maximal period to hit is not p
+        rng = random.Random(719)
+        for period in [p for p in eligible_periods(719) if 2 <= p <= 360]:
+            w = _fragile_word(719, alphabet, period, rng)
+            hit, periods, _ = _hit_and_plan(w.chars)
+            assert hit == _full_scan(w.chars, periods), (period, w.chars)
+        w = _fragile_word(719, alphabet, 120, rng)
+        hit, _, maximal = _hit_and_plan(w.chars)
+        assert hit[0] == 120
+        assert [q for q in maximal if q % 120 == 0] == [240, 360]
+
+    def test_matches_full_scan_at_a_hard_length(self):
+        # n+1 = 720720 = 2^4 3^2 5 7 11 13 and p = 120120 = (n+1)/6, so the
+        # maximal periods 240240 and 360360 must both hit before p is scanned
+        w = _fragile_word(720_719, BINARY, 120_120, random.Random(6))
+        hit, periods, maximal = _hit_and_plan(w.chars)
+        assert hit == _full_scan(w.chars, periods)
+        assert hit[0] == 120_120 and hit[0] not in maximal
+
+
+def _count_scans(monkeypatch, w: Word):
+    scanned = []
+    real = classify_module._leftmost_periodic_start
+
+    def counted(b, n, p):
+        scanned.append(p)
+        return real(b, n, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classify_module, "_leftmost_periodic_start", counted)
+        result = classify_fast(w)
+    return result, scanned
+
+
+class TestScanCount:
+    """Window scans per word follow ω(n+1), the number of primes of n+1."""
+
+    @pytest.mark.parametrize("n, omega", [(720_719, 6), (1_000_000, 2)])
+    def test_robust_word_costs_omega_scans(self, monkeypatch, n, omega):
+        rng = random.Random(n)
+        w = bw("".join(rng.choices("ab", k=n)))
+        result, scanned = _count_scans(monkeypatch, w)
+        assert result.verdict is Verdict.INS_ROBUST
+        assert len(scanned) == omega
+
+    def test_fragile_word_at_a_hard_length(self, monkeypatch):
+        # u^11 with one letter deleted: n+1 = 997920 = 2^5 3^4 5 7 11, |u| = 90720
+        n, period = 997_919, 90_720
+        rng = random.Random(n)
+        full = "".join(rng.choices("ab", k=period)) * 11
+        cut = rng.randrange(n + 1)
+        w = bw(full[:cut] + full[cut + 1 :])
+        result, scanned = _count_scans(monkeypatch, w)
+        assert result.verdict is Verdict.NON_INS_ROBUST
+        assert len(scanned) <= 6
+        (wit,) = result.witnesses
+        assert len(wit.root) == period
+        assert insert(w, wit.position, wit.letter).chars == wit.root.chars * wit.power
+        assert (len(wit.root), wit.position) == _full_scan(w.chars, eligible_periods(n))
