@@ -125,8 +125,6 @@ def _classification_line(text: str, result) -> str:
 
 
 def _cmd_classify(args) -> int:
-    if args.format == "csv":
-        raise CliError("csv output is only available for census and count")
     words = _gather_words(args)
     if not words:
         raise CliError("no input words")
@@ -159,8 +157,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_runs(args) -> int:
-    if args.format == "csv":
-        raise CliError("csv output is only available for census and count")
     text = _symbols_of(args.word, args.unicode)
     rows = []
     if text:
@@ -387,14 +383,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the exhaustive insertion oracle and list every witness",
     )
-    p_classify.add_argument("--format", choices=("human", "jsonl", "csv"), default="human")
+    p_classify.add_argument("--format", choices=("human", "jsonl"), default="human")
     p_classify.add_argument(
         "--unicode", action="store_true", help="treat input as codepoints instead of bytes"
     )
 
     p_runs = sub.add_parser("runs", help="list the maximal repetitions of a word")
     p_runs.add_argument("word")
-    p_runs.add_argument("--format", choices=("human", "jsonl", "csv"), default="human")
+    p_runs.add_argument("--format", choices=("human", "jsonl"), default="human")
     p_runs.add_argument(
         "--unicode", action="store_true", help="treat input as codepoints instead of bytes"
     )

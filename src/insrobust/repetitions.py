@@ -3,10 +3,13 @@
 A run is a factor whose exponent (length over minimal period) is at least 2
 and which cannot be extended by one symbol in either direction without
 strictly increasing its minimal period.  ``find_maximal_repetitions`` computes
-the exact run set in O(n log n) by divide and conquer with Z-array
-longest-common-extension lookups; ``runs_bruteforce`` recomputes it from the
-definition for cross-validation, and ``maximal_periodicities`` relaxes the
-exponent-2 floor, which some insertion witnesses fall below.
+the exact run set from Lyndon roots (the Runs Theorem of Bannai et al., SIAM
+J. Comput. 2017): one Lyndon array per letter order names a root candidate
+at each position, and longest-common-extension (LCE) queries extend it.  That
+is O(n) LCE queries, with O(n·k) symbol comparisons on words of blocks of
+length k.  ``runs_bruteforce`` recomputes the run set from the definition for
+cross-validation, and ``maximal_periodicities`` relaxes the exponent-2 floor,
+which some insertion witnesses fall below.
 """
 
 from __future__ import annotations
@@ -36,104 +39,84 @@ class Run:
         return (self.start, self.length, self.period)
 
 
-def _z_array(s: str) -> list[int]:
-    # z[i] = length of the longest common prefix of s and s[i:]; z[0] = len(s)
+def _lce(s: str, i: int, j: int, limit: int) -> int:
+    # Length of the longest common prefix of s[i:] and s[j:], at most ``limit``.
+    # Gallop by doubling slices, then halve onto the first mismatch; each probe
+    # compares only symbols past the known match, so a query reads O(result)
+    # symbols at C speed.
+    k = 0
+    step = 1
+    while step <= limit - k and s[i + k : i + k + step] == s[j + k : j + k + step]:
+        k += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if step <= limit - k and s[i + k : i + k + step] == s[j + k : j + k + step]:
+            k += step
+    return k
+
+
+def _lyndon_ends(s: str, inverted: bool) -> list[int]:
+    # ends[i] = end of the longest Lyndon word starting at i, under code-point
+    # order or its inverse.  Built right to left: u = s[i:j] absorbs the next
+    # Lyndon word v = s[j:ends[j]] while u < v, a proper prefix counting as
+    # smaller.  Each comparison reads at most min(|u|, |v|) symbols; comparing
+    # whole suffixes instead is quadratic on a^n.
     n = len(s)
-    z = [0] * n
-    if n == 0:
-        return z
-    z[0] = n
-    left = right = 0
-    for i in range(1, n):
-        k = 0
-        if i < right:
-            k = min(right - i, z[i - left])
-        while i + k < n and s[k] == s[i + k]:
-            k += 1
-        z[i] = k
-        if i + k > right:
-            left, right = i, i + k
-    return z
-
-
-def _z_match(pattern: str, text: str) -> list[int]:
-    # out[i] = length of the longest common prefix of text[i:] and pattern,
-    # capped at len(pattern).  Same two-pointer scheme as _z_array, but the
-    # window tracks matches of text against the pattern's prefixes.
-    zp = _z_array(pattern)
-    m, n = len(pattern), len(text)
-    out = [0] * n
-    left = right = 0
-    for i in range(n):
-        k = 0
-        if i < right:
-            k = min(right - i, zp[i - left])
-        while i + k < n and k < m and text[i + k] == pattern[k]:
-            k += 1
-        out[i] = k
-        if i + k > right:
-            left, right = i, i + k
-    return out
+    ends = [n] * n
+    for i in range(n - 2, -1, -1):
+        j = i + 1
+        while j < n:
+            e = ends[j]
+            m = min(j - i, e - j)
+            k = _lce(s, i, j, m)
+            if k == m:
+                if j - i >= e - j:
+                    break  # v is a prefix of u, so v <= u
+            elif (s[i + k] < s[j + k]) == inverted:
+                break
+            j = e
+        ends[i] = j
+    return ends
 
 
 def find_maximal_repetitions(w: Word) -> set[Run]:
     """All runs of ``w``, each reported once with its minimal period.
 
-    Divide and conquer: a run crossing the midpoint of an interval contains a
-    full period block immediately left or right of the split, so per split it
-    suffices to test every block length against four extension arrays.  The
-    candidates this produces are genuinely periodic but may be truncated
-    fragments of longer runs or carry a non-minimal period; a global
-    maximality filter plus a per-interval minimum over periods reduces them
-    to the exact run set.
+    Runs by Lyndon roots (Bannai, I, Inenaga, Nakashima, Takeda and Tsuruta,
+    "The 'Runs' Theorem", SIAM J. Comput. 46(5), 2017): every run of period p
+    contains a Lyndon root s[i:i+p] that is the longest Lyndon word starting at
+    i under one of the two letter orders.  So each i, with p the length of its
+    longest Lyndon word under either order, is extended forward and backward
+    by longest-common-extension (LCE) queries, and kept when the extension
+    reaches length 2p.  A Lyndon word is primitive, so p is the minimal period
+    (Fine and Wilf), and the extension is maximal by construction; no filter
+    is needed.  A candidate inside the last run found with its period is
+    skipped, since it would extend to that run again.
+
+    Cost: O(n) LCE queries for the candidates, each reading O(result + 1)
+    symbols.  Building the Lyndon arrays reads at most min(|u|, |v|) symbols
+    per comparison.  On words of long blocks, such as (a^k b)^m, the failing
+    comparison at each position reads about k symbols, so the total is O(n·k)
+    symbol comparisons; they run by slice equality at C speed, but for large
+    enough k and n this family costs more than an O(n log n) method would.
     """
     s = w.chars
     n = len(s)
-    candidates: set[tuple[int, int, int]] = set()
-
-    def walk(a: int, b: int) -> None:
-        size = b - a
-        if size < 2:
-            return
-        mid = a + size // 2
-        walk(a, mid)
-        walk(mid, b)
-        sub = s[a:b]
-        left_len = mid - a
-        right_len = b - mid
-        right_part = sub[left_len:]
-        rev_left = sub[:left_len][::-1]
-        rev_sub = sub[::-1]
-        z_right = _z_array(right_part)
-        z_rev_left = _z_array(rev_left)
-        fwd_from = _z_match(right_part, sub)
-        bwd_from = _z_match(rev_left, rev_sub)
-        # block s[mid-p .. mid-1] inside the left half
-        for p in range(1, left_len + 1):
-            fwd = fwd_from[left_len - p]
-            bwd = z_rev_left[p] if p < left_len else 0
-            if fwd + bwd >= p:
-                candidates.add((mid - p - bwd, mid + fwd - 1, p))
-        # block s[mid .. mid+p-1] inside the right half
-        for p in range(1, right_len + 1):
-            fwd = z_right[p] if p < right_len else 0
-            bwd = bwd_from[right_len - p]
-            if fwd + bwd >= p:
-                candidates.add((mid - bwd, mid + p - 1 + fwd, p))
-
-    walk(0, n)
-
-    best: dict[tuple[int, int], int] = {}
-    for i, j, p in candidates:
-        if i > 0 and s[i - 1] == s[i - 1 + p]:
-            continue  # extendable left: a fragment of a longer run
-        if j < n - 1 and s[j + 1] == s[j + 1 - p]:
-            continue
-        key = (i, j)
-        held = best.get(key)
-        if held is None or p < held:
-            best[key] = p
-    return {Run(i, j - i + 1, p) for (i, j), p in best.items()}
+    r = s[::-1]
+    runs: set[Run] = set()
+    last_end: dict[int, int] = {}  # period -> end of the last run found with it
+    for i, pair in enumerate(zip(_lyndon_ends(s, False), _lyndon_ends(s, True))):
+        for e in pair:
+            p = e - i
+            if e >= n or e <= last_end.get(p, 0):
+                continue
+            fwd = _lce(s, i, e, n - e)
+            back = _lce(r, n - i, n - e, i)
+            if fwd + back >= p:
+                runs.add(Run(i - back, p + fwd + back, p))
+                last_end[p] = e + fwd
+    return runs
 
 
 def _minimal_period_table(s: str) -> list[list[int]]:

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from conftest import BINARY, TERNARY, all_words
@@ -7,12 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from insrobust import (
+    Alphabet,
     Run,
     Word,
     find_maximal_repetitions,
     maximal_periodicities,
     runs_bruteforce,
 )
+from insrobust import repetitions as repetitions_module
+
+WIDE = Alphabet("\u0100\u0101\u0102")
 
 mixed_words = st.one_of(
     st.text(alphabet="ab", min_size=2, max_size=64).map(lambda s: Word(s, BINARY)),
@@ -62,7 +68,11 @@ class TestFindMaximalRepetitions:
         assert find_maximal_repetitions(Word("", BINARY)) == set()
 
     def test_exhaustive_binary_up_to_10(self):
-        for w in all_words(BINARY, 2, 10):
+        # past two letters, the inverted order is more than a swap of two letters
+        words = chain(
+            all_words(BINARY, 2, 10), all_words(TERNARY, 2, 8), all_words(WIDE, 2, 6)
+        )
+        for w in words:
             assert find_maximal_repetitions(w) == runs_bruteforce(w), w.chars
 
     def test_seeded_random_words(self):
@@ -104,6 +114,74 @@ class TestFindMaximalRepetitions:
         rng = random.Random(11)
         s = "".join(rng.choices("ab", k=10_000))
         assert len(find_maximal_repetitions(bw(s))) < 10_000
+
+
+def _lce_reads(monkeypatch, w: Word):
+    reads = []
+    real = repetitions_module._lce
+
+    def counted(s, i, j, limit):
+        k = real(s, i, j, limit)
+        reads.append(k)
+        return k
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repetitions_module, "_lce", counted)
+        runs = find_maximal_repetitions(w)
+    return runs, sum(reads)
+
+
+class TestLceCount:
+    """Symbols matched by LCE queries stay linear on highly periodic words."""
+
+    @pytest.mark.parametrize("root, block_runs", [("a", []), ("ab", []), ("aab", [(0, 2, 1)])])
+    def test_periodic_word_reads_linear(self, monkeypatch, root, block_runs):
+        m = 20_000 // len(root)
+        n = m * len(root)
+        runs, matched = _lce_reads(monkeypatch, bw(root * m))
+        expected = {(0, n, len(root))} | {
+            (start + t * len(root), length, period)
+            for t in range(m)
+            for start, length, period in block_runs
+        }
+        assert tuples(runs) == expected
+        assert matched <= 10 * n
+
+
+def _fibonacci_prefix(n: int) -> str:
+    shorter, longer = "a", "ab"
+    while len(longer) < n:
+        shorter, longer = longer, longer + shorter
+    return longer[:n]
+
+
+class TestScalePins:
+    def test_fibonacci_prefix_period_histogram(self):
+        # runs per period of the 10^5 prefix, from an independent per-period scan
+        histogram = {
+            1: 23607, 2: 14589, 3: 14590, 5: 9017, 8: 5573, 13: 3444, 21: 2128,
+            34: 1315, 55: 813, 89: 502, 144: 310, 233: 192, 377: 119, 610: 73,
+            987: 45, 1597: 28, 2584: 17, 4181: 10, 6765: 7, 10946: 4, 17711: 2,
+            28657: 1, 46368: 1,
+        }
+        runs = find_maximal_repetitions(bw(_fibonacci_prefix(100_000)))
+        assert len(runs) == 76_387
+        assert Counter(run.period for run in runs) == histogram
+
+    @pytest.mark.parametrize(
+        "chars, expected",
+        [
+            ("a" * 100_000, {(0, 100_000, 1)}),
+            ("ab" * 50_000, {(0, 100_000, 2)}),
+            (
+                ("a" * 65_499 + "b") * 2,
+                {(0, 65_499, 1), (65_500, 65_499, 1), (0, 131_000, 65_500)},
+            ),
+        ],
+        ids=["a^n", "(ab)^(n/2)", "(a^(K-1)b)^2"],
+    )
+    def test_exact_run_set(self, chars, expected):
+        assert tuples(find_maximal_repetitions(bw(chars))) == expected
 
 
 class TestRunsBruteforce:
