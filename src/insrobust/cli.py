@@ -164,19 +164,21 @@ def _cmd_runs(args) -> int:
         rows = sorted(
             find_maximal_repetitions(word), key=lambda run: (run.start, run.length)
         )
+    # length / period is correctly rounded, so it is float(run.exponent);
+    # the lines are generated lazily so no copy of the output is held
     if args.format == "jsonl":
-        for run in rows:
-            record = {
-                "start": run.start,
-                "length": run.length,
-                "period": run.period,
-                "exponent": float(run.exponent),
-            }
-            print(json.dumps(record, separators=(",", ":")))
+        lines = (
+            f'{{"start":{run.start},"length":{run.length},"period":{run.period},'
+            f'"exponent":{run.length / run.period!r}}}\n'
+            for run in rows
+        )
     else:
-        print("start\tlength\tperiod\texponent")
-        for run in rows:
-            print(f"{run.start}\t{run.length}\t{run.period}\t{float(run.exponent):g}")
+        sys.stdout.write("start\tlength\tperiod\texponent\n")
+        lines = (
+            f"{run.start}\t{run.length}\t{run.period}\t{run.length / run.period:g}\n"
+            for run in rows
+        )
+    sys.stdout.writelines(lines)
     return EXIT_OK
 
 

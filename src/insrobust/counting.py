@@ -1,17 +1,32 @@
-"""Exact counts, closed-form bounds, and exhaustive small-n censuses.
+"""Exact counts, closed-form bounds, and exact small-n censuses.
 
 The primitive-word count is the classic Möbius sum over divisors, evaluated
 with arbitrary-precision integers throughout — the values overflow machine
-words long before the lengths this module accepts.  The census enumerates
-every word of a given length, classifies each one, and is the ground truth
-the closed forms are tested against.
+words long before the lengths this module accepts.
+
+A census's three tallies come by construction, without classifying any word.
+Inserting one letter into a primitive w of length n gives a proper power x of
+length n+1 only if x = u^q for some prime q dividing n+1 and some u of length
+(n+1)/q.  Rotating w by the insertion point gives a rotation of x with its
+last letter cut off, and each rotation of u^q is (u′)^q for a rotation u′ of
+u.  Conversely, inserting the cut-off letter back into any rotation of
+(u^q)[:n] gives a rotation of u^q, which is again a proper power.  So the
+fragile (non-ins-robust) words are exactly the rotations of the primitive
+prefixes (u^q)[:n], over every prime q of n+1 and every u.  A primitive word
+has exactly n distinct rotations, so the fragile count is n times the number
+of distinct rotation classes among those prefixes; it is 0 when n+1 is prime
+and n > 1, since then every prefix is a single repeated letter.  The cost is
+Σ_q k^((n+1)/q) candidates in place of k^n classifications.
+
+Words are enumerated and classified only where they must be listed or
+audited; the audit also checks the constructed tallies against the
+enumerated ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -155,6 +170,29 @@ def _lex_words(symbols: str, n: int, lo: int, hi: int) -> Iterator[str]:
             i -= 1
 
 
+def _fragile_classes(n: int, symbols: str) -> set[str]:
+    # the least rotation of each primitive prefix (u^q)[:n]; see the module docstring
+    classes = set()
+    for q in _distinct_prime_factors(n + 1):
+        for letters in itertools.product(symbols, repeat=(n + 1) // q):
+            x = ("".join(letters) * q)[:n]
+            xx = x + x
+            if xx.find(x, 1) == n:
+                classes.add(min(xx[i : i + n] for i in range(n)))
+    return classes
+
+
+def _constructed_counts(n: int, symbols: str) -> dict[Verdict, int]:
+    k = len(symbols)
+    primitive = count_primitive(n, k)
+    fragile = n * len(_fragile_classes(n, symbols))
+    return {
+        Verdict.NON_PRIMITIVE: k**n - primitive,
+        Verdict.INS_ROBUST: primitive - fragile,
+        Verdict.NON_INS_ROBUST: fragile,
+    }
+
+
 def _census_span(args: tuple[str, int, int, int, bool, bool]):
     symbols, n, lo, hi, list_words, audit = args
     maximal = _maximal_periods(n, eligible_periods(n))
@@ -174,47 +212,24 @@ def _census_span(args: tuple[str, int, int, int, bool, bool]):
     return counts, words, mismatches
 
 
-def census(
-    n: int,
-    alphabet: Alphabet,
-    *,
-    list_words: bool = False,
-    budget: int | None = DEFAULT_CENSUS_BUDGET,
-    audit_oracle: bool = False,
-    workers: int = 0,
-) -> CensusReport:
-    """Classify every length-``n`` word over ``alphabet`` and tally verdicts.
-
-    ``audit_oracle`` re-checks each word against the insertion oracle and
-    raises ``OracleMismatchError`` on any disagreement.  ``workers`` > 1
-    shards the enumeration across that many processes, at most one per CPU;
-    tallies and word lists are merged in rank order, so results are
-    identical for any worker count.
-    """
-    if n < 1:
-        raise ValueError("census requires a word length n >= 1")
-    if len(alphabet) < 2:
-        raise ValueError("census requires an alphabet with at least two symbols")
-    k = len(alphabet)
-    total = k**n
-    if budget is not None and total > budget:
-        raise BudgetExceededError(
-            f"census of {total} words exceeds the budget of {budget};"
-            " raise the budget to proceed"
-        )
-    symbols = alphabet.symbols
+def _enumerate(
+    symbols: str, n: int, list_words: bool, audit: bool, workers: int
+) -> tuple[dict[Verdict, int], dict[Verdict, tuple[str, ...]] | None]:
+    total = len(symbols) ** n
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [total * i // workers for i in range(workers + 1)]
         spans = [
-            (symbols, n, lo, hi, list_words, audit_oracle)
+            (symbols, n, lo, hi, list_words, audit)
             for lo, hi in zip(bounds, bounds[1:])
             if lo < hi
         ]
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             parts = list(pool.map(_census_span, spans))
     else:
-        parts = [_census_span((symbols, n, 0, total, list_words, audit_oracle))]
+        parts = [_census_span((symbols, n, 0, total, list_words, audit))]
 
     counts = dict.fromkeys(Verdict, 0)
     mismatches: list[tuple[str, str, str]] = []
@@ -237,6 +252,58 @@ def census(
             )
             for verdict in Verdict
         }
+    return counts, words_map
+
+
+def census(
+    n: int,
+    alphabet: Alphabet,
+    *,
+    list_words: bool = False,
+    budget: int | None = DEFAULT_CENSUS_BUDGET,
+    audit_oracle: bool = False,
+    workers: int = 0,
+) -> CensusReport:
+    """Tally the verdicts of every length-``n`` word over ``alphabet``.
+
+    The tallies come by construction (see the module docstring), so no word
+    is classified unless ``list_words`` asks for the words of each class or
+    ``audit_oracle`` for an audit; either one enumerates and classifies all
+    k^n words.  ``audit_oracle`` re-checks each word against the insertion
+    oracle and the enumerated tallies against the constructed ones, and
+    raises ``OracleMismatchError`` on any disagreement.  ``workers`` > 1
+    shards the enumeration across that many processes, at most one per CPU;
+    tallies and word lists are merged in rank order, so results are
+    identical for any worker count.  ``budget`` caps k^n in every case.
+    """
+    if n < 1:
+        raise ValueError("census requires a word length n >= 1")
+    if len(alphabet) < 2:
+        raise ValueError("census requires an alphabet with at least two symbols")
+    k = len(alphabet)
+    total = k**n
+    if budget is not None and total > budget:
+        raise BudgetExceededError(
+            f"census of {total} words exceeds the budget of {budget};"
+            " raise the budget to proceed"
+        )
+    symbols = alphabet.symbols
+    words_map = None
+    if list_words or audit_oracle:
+        counts, words_map = _enumerate(symbols, n, list_words, audit_oracle, workers)
+    else:
+        counts = _constructed_counts(n, symbols)
+    if audit_oracle:
+        constructed = _constructed_counts(n, symbols)
+        if constructed != counts:
+            shown = ", ".join(
+                f"{verdict.value} {constructed[verdict]} != {counts[verdict]}"
+                for verdict in Verdict
+                if constructed[verdict] != counts[verdict]
+            )
+            raise OracleMismatchError(
+                f"constructed tallies disagreed with the enumerated ones: {shown}"
+            )
     return CensusReport(
         n=n,
         k=k,

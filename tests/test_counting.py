@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 from conftest import BINARY, TERNARY, all_strings
 from hypothesis import given
@@ -14,6 +16,7 @@ from insrobust import (
     counting,
     is_primitive,
 )
+from insrobust.cli import main
 
 
 class TestCountPrimitive:
@@ -157,7 +160,7 @@ class TestCensus:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         sequential = census(7, BINARY, list_words=True)
         for cpus in (None, 1, 3):
             monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
@@ -170,3 +173,64 @@ class TestCensus:
             census(0, BINARY)
         with pytest.raises(ValueError):
             census(3, Alphabet("a"))
+
+
+def _tallies(report):
+    return (report.non_primitive, report.ins_robust, report.non_ins_robust)
+
+
+def _rotations(word):
+    return {word[i:] + word[:i] for i in range(len(word))}
+
+
+class TestFragileByConstruction:
+    """Tallies-only censuses count fragile words from the rotation classes of
+    the primitive prefixes (u^q)[:n] and classify no word."""
+
+    @pytest.mark.parametrize(
+        ("symbols", "max_n"), [("ab", 16), ("abc", 10), ("abcd", 7), ("ĀāĂ", 8)]
+    )
+    def test_tallies_equal_enumeration(self, symbols, max_n):
+        alphabet = Alphabet(symbols)
+        for n in range(1, max_n + 1):
+            constructed = census(n, alphabet)
+            enumerated = census(n, alphabet, list_words=True)
+            assert _tallies(constructed) == _tallies(enumerated), n
+            if n > 1 and all((n + 1) % d for d in range(2, n + 1)):
+                assert constructed.non_ins_robust == 0  # n + 1 is prime
+
+    @pytest.mark.parametrize(("symbols", "max_n"), [("ab", 12), ("abc", 7)])
+    def test_classes_expand_to_the_fragile_words(self, symbols, max_n):
+        for n in range(1, max_n + 1):
+            classes = counting._fragile_classes(n, symbols)
+            expanded = set().union(*map(_rotations, classes))
+            fragile = census(n, Alphabet(symbols), list_words=True).words[
+                Verdict.NON_INS_ROBUST
+            ]
+            assert expanded == set(fragile), n
+            assert len(expanded) == n * len(classes)
+
+    def test_pinned_points_without_enumeration(self, monkeypatch):
+        def refuse(args):
+            raise AssertionError("a tallies-only census enumerated words")
+
+        monkeypatch.setattr(counting, "_census_span", refuse)
+        assert _tallies(census(17, BINARY)) == (2, 126_276, 4_794)
+        assert _tallies(census(11, TERNARY, workers=2)) == (3, 171_270, 5_874)
+        assert census(20, BINARY).non_ins_robust == 1_360
+        with pytest.raises(AssertionError):
+            census(6, BINARY, list_words=True)
+
+    def test_oracle_audit_catches_a_wrong_construction(self, monkeypatch, capsys):
+        constructed = counting._constructed_counts
+
+        def off_by_one(n, symbols):
+            counts = constructed(n, symbols)
+            counts[Verdict.NON_INS_ROBUST] += 1
+            counts[Verdict.INS_ROBUST] -= 1
+            return counts
+
+        assert main(["census", "6", "2", "--oracle"]) == 0
+        monkeypatch.setattr(counting, "_constructed_counts", off_by_one)
+        assert main(["census", "6", "2", "--oracle"]) == 1
+        assert "constructed tallies" in capsys.readouterr().err
