@@ -161,9 +161,8 @@ def _cmd_runs(args) -> int:
     rows = []
     if text:
         word = Word(text, Alphabet("".join(sorted(set(text)))))
-        rows = sorted(
-            find_maximal_repetitions(word), key=lambda run: (run.start, run.length)
-        )
+        # a run's start and length fix its period: this is (start, length) order
+        rows = sorted(find_maximal_repetitions(word))
     # length / period is correctly rounded, so it is float(run.exponent);
     # the lines are generated lazily so no copy of the output is held
     if args.format == "jsonl":

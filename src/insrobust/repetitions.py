@@ -5,27 +5,30 @@ and which cannot be extended by one symbol in either direction without
 strictly increasing its minimal period.  ``find_maximal_repetitions`` computes
 the exact run set from Lyndon roots (the Runs Theorem of Bannai et al., SIAM
 J. Comput. 2017): one Lyndon array per letter order names a root candidate
-at each position, and longest-common-extension (LCE) queries extend it.  That
-is O(n) LCE queries, with O(n·k) symbol comparisons on words of blocks of
-length k.  ``runs_bruteforce`` recomputes the run set from the definition for
-cross-validation, and ``maximal_periodicities`` relaxes the exponent-2 floor,
-which some insertion witnesses fall below.
+at each position, and longest-common-extension (LCE) queries extend it.  The
+Lyndon arrays are built by slice comparisons of min(|u|, |v|) symbols, and
+each candidate is pre-tested by comparing at most 2⌈p/2⌉ symbols before its
+two LCE queries.  On words of blocks of length k, such as (a^k b)^m, that is
+still O(n·k) symbol comparisons, done at C speed.  ``runs_bruteforce``
+recomputes the run set from the definition for cross-validation, and
+``maximal_periodicities`` relaxes the exponent-2 floor, which some insertion
+witnesses fall below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .words import Word, _border
 
 BRUTE_FORCE_BOUND = 64
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Run:
+class Run(NamedTuple):
     """A maximal periodic factor: ``start`` and ``length`` locate it, ``period``
-    is the minimal period of the factor."""
+    is the minimal period of the factor.  A plain tuple underneath, so runs
+    sort as (start, length, period) and equal the tuple of their fields."""
 
     start: int
     length: int
@@ -60,20 +63,21 @@ def _lyndon_ends(s: str, inverted: bool) -> list[int]:
     # ends[i] = end of the longest Lyndon word starting at i, under code-point
     # order or its inverse.  Built right to left: u = s[i:j] absorbs the next
     # Lyndon word v = s[j:ends[j]] while u < v, a proper prefix counting as
-    # smaller.  Each comparison reads at most min(|u|, |v|) symbols; comparing
-    # whole suffixes instead is quadratic on a^n.
+    # smaller.  Each comparison is one slice comparison of m = min(|u|, |v|)
+    # symbols at C speed; comparing whole suffixes instead is quadratic on a^n.
     n = len(s)
     ends = [n] * n
     for i in range(n - 2, -1, -1):
         j = i + 1
         while j < n:
             e = ends[j]
-            m = min(j - i, e - j)
-            k = _lce(s, i, j, m)
-            if k == m:
-                if j - i >= e - j:
+            m = e - j if j - i >= e - j else j - i
+            u = s[i : i + m]
+            v = s[j : j + m]
+            if u == v:
+                if m == e - j:
                     break  # v is a prefix of u, so v <= u
-            elif (s[i + k] < s[j + k]) == inverted:
+            elif (u < v) == inverted:
                 break
             j = e
         ends[i] = j
@@ -94,12 +98,16 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     is needed.  A candidate inside the last run found with its period is
     skipped, since it would extend to that run again.
 
-    Cost: O(n) LCE queries for the candidates, each reading O(result + 1)
-    symbols.  Building the Lyndon arrays reads at most min(|u|, |v|) symbols
-    per comparison.  On words of long blocks, such as (a^k b)^m, the failing
-    comparison at each position reads about k symbols, so the total is O(n·k)
-    symbol comparisons; they run by slice equality at C speed, but for large
-    enough k and n this family costs more than an O(n log n) method would.
+    Cost: building the Lyndon arrays takes one slice comparison of
+    min(|u|, |v|) symbols per step.  Each candidate is then pre-tested: the
+    extension reaches 2p only if fwd or back reaches h = ⌈p/2⌉, so one or two
+    slice comparisons of h symbols (at most 2⌈p/2⌉ in all) discard most
+    candidates before the two LCE queries, each reading O(result + 1)
+    symbols.  On words of long blocks, such as (a^k b)^m, the Lyndon build,
+    the pre-test and the forward LCE query each read up to k symbols at a
+    position, so the total is O(n·k) symbol comparisons; they run at C speed,
+    but for large enough k and n this family costs more than an O(n log n)
+    method would.
     """
     s = w.chars
     n = len(s)
@@ -108,8 +116,14 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     last_end: dict[int, int] = {}  # period -> end of the last run found with it
     for i, pair in enumerate(zip(_lyndon_ends(s, False), _lyndon_ends(s, True))):
         for e in pair:
+            if e >= n:
+                continue
             p = e - i
-            if e >= n or e <= last_end.get(p, 0):
+            if e <= last_end.get(p, 0):
+                continue
+            # fwd + back >= p needs fwd >= h or back >= h
+            h = (p + 1) // 2
+            if s[i : i + h] != s[e : e + h] and (h > i or s[i - h : i] != s[e - h : e]):
                 continue
             fwd = _lce(s, i, e, n - e)
             back = _lce(r, n - i, n - e, i)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -157,6 +158,43 @@ class TestClassifyCommand:
         code, out, _ = run_cli(capsys, "classify", "éz", "--unicode")
         assert code == 0
         assert "ins-robust" in out
+
+
+class TestTracedAttributes:
+    """The attributes the traced benchmark wraps, named here as literals.
+
+    The tracer reports no per-layer figure for an attribute it cannot find,
+    and the traced run still exits 0, so a rename would go unnoticed there.
+    """
+
+    WRAPPED = [
+        ("cli", "classify_fast"),
+        ("cli", "find_maximal_repetitions"),
+        ("cli", "census"),
+        ("counting", "_fast_verdict_chars"),
+        ("counting", "eligible_periods"),
+        ("classify", "eligible_periods"),
+        ("classify", "_leftmost_periodic_start"),
+        ("classify", "insert"),
+        ("classify", "primitive_root"),
+        ("classify", "_root_length"),
+        ("words.Word", "__post_init__"),
+    ]
+
+    @pytest.mark.parametrize("owner, attr", WRAPPED)
+    def test_wrapped_attribute_is_callable(self, owner, attr):
+        module, _, cls = owner.partition(".")
+        target = importlib.import_module(f"insrobust.{module}")
+        if cls:
+            target = getattr(target, cls)
+        assert callable(getattr(target, attr, None))
+
+    def test_runs_result_has_a_length(self):
+        # the tracer counts runs found with len() of this result
+        from insrobust import Alphabet, Word, cli
+
+        found = cli.find_maximal_repetitions(Word("aabaab", Alphabet("ab")))
+        assert isinstance(found, set) and len(found) == 3
 
 
 class TestRunsCommand:

@@ -42,6 +42,19 @@ class TestRunRecord:
         assert Run(0, 2, 1).as_tuple() == (0, 2, 1)
         assert Run(0, 2, 1) < Run(1, 2, 1)
 
+    def test_immutable_hashable_tuple(self):
+        run = Run(3, 5, 2)
+        assert {run: "x"}[Run(3, 5, 2)] == "x"
+        assert run == (3, 5, 2)
+        with pytest.raises(AttributeError):
+            run.start = 0
+        assert isinstance(run.exponent, Fraction)
+
+    def test_sorts_by_start_length_period(self):
+        rng = random.Random(3)
+        fields = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(200)]
+        assert [run.as_tuple() for run in sorted(Run(*f) for f in fields)] == sorted(fields)
+
 
 class TestFindMaximalRepetitions:
     def test_aabaab(self):
@@ -146,6 +159,31 @@ class TestLceCount:
         }
         assert tuples(runs) == expected
         assert matched <= 10 * n
+
+
+class _CountedSlices(str):
+    """A word that adds up the lengths of the slices read from it."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        piece = str.__getitem__(self, key)
+        self.read += len(piece)
+        return piece
+
+
+class TestLyndonReads:
+    """Building the Lyndon arrays stays linear on highly periodic words."""
+
+    @pytest.mark.parametrize("root", ["a", "ab", "aab"])
+    def test_periodic_word_reads_linear(self, root):
+        m = 4_000 // len(root)
+        n = m * len(root)
+        s = _CountedSlices(root * m)
+        for inverted in (False, True):
+            repetitions_module._lyndon_ends(s, inverted)
+        # measured 4n, 8n and 10n; comparing whole suffixes reads thousands of n
+        assert s.read <= 12 * n
 
 
 def _fibonacci_prefix(n: int) -> str:
