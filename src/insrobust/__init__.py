@@ -3,8 +3,8 @@
 A word is primitive when it is not a proper power of a shorter word, and
 ins-robust when it stays primitive no matter which single alphabet letter is
 inserted at which position.  This package classifies words with verifiable
-witnesses, computes maximal repetitions, runs exhaustive small-length
-censuses, and evaluates closed-form counts and bounds — everything
+witnesses, computes maximal repetitions, tallies small-length censuses by
+construction, and evaluates closed-form counts and bounds — everything
 cross-checked against brute-force oracles.
 """
 

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``classify`` (verdicts and witnesses for words), ``runs``
-(maximal repetitions of one word), ``census`` (exhaustive classification of
-every word of a length), ``count`` (closed-form counts and bounds), and
-``bench`` (timing on seeded random words).
+(maximal repetitions of one word), ``census`` (exact tallies of the words
+of a length, by construction, optionally listed or audited word by word),
+``count`` (closed-form counts and bounds), and ``bench`` (timing on seeded
+random words).
 
 Words are read as UTF-8 text but classified at the byte level by default, so
 the hot path never re-encodes; ``--unicode`` switches to codepoint symbols.
@@ -17,7 +18,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
 import statistics
 import sys
@@ -76,19 +76,6 @@ def _gather_words(args) -> list[str]:
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc}") from exc
     return _read_lines(sys.stdin)
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("INSROBUST_THREADS")
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"INSROBUST_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise CliError("INSROBUST_THREADS must be >= 0")
-    return value
 
 
 def _classification_record(text: str, result) -> dict:
@@ -191,6 +178,8 @@ def _cmd_census(args) -> int:
         raise CliError("census alphabet size must be between 2 and 26 (letters a..z)")
     if args.format == "csv" and args.list:
         raise CliError("--list is not available with csv; use human or jsonl")
+    if args.budget < 1:
+        raise CliError("--budget must be at least 1")
     alphabet = Alphabet(ascii_lowercase[: args.k])
     report = census(
         args.n,
@@ -198,7 +187,6 @@ def _cmd_census(args) -> int:
         list_words=args.list,
         budget=args.budget,
         audit_oracle=args.oracle,
-        workers=_workers_from_env(),
     )
     tallies = {
         Verdict.NON_PRIMITIVE: report.non_primitive,
@@ -245,48 +233,50 @@ def _cmd_count(args) -> int:
     primitive = count_primitive(n, k)
     bounds = count_report(n, k) if n >= 2 and k >= 2 else None
     note = "bounds require n >= 2 and k >= 2"
-    if args.format == "jsonl":
-        record: dict = {
-            "n": n,
-            "k": k,
-            "total": total,
-            "primitive": primitive,
-            "non_primitive": total - primitive,
-        }
-        if bounds is not None:
-            record["non_ins_robust_upper"] = bounds.non_ins_robust_upper
-            record["ins_robust_lower"] = bounds.ins_robust_lower
-            record["vacuous"] = bounds.vacuous
-        else:
-            record["note"] = note
-        print(json.dumps(record, separators=(",", ":")))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            [
-                "n",
-                "k",
-                "total",
-                "primitive",
-                "non_primitive",
-                "non_ins_robust_upper",
-                "ins_robust_lower",
+    # every field is formatted before anything is written, so a value past
+    # Python's int-to-str digit limit leaves stdout empty
+    try:
+        if args.format == "jsonl":
+            record: dict = {
+                "n": n,
+                "k": k,
+                "total": total,
+                "primitive": primitive,
+                "non_primitive": total - primitive,
+            }
+            if bounds is not None:
+                record["non_ins_robust_upper"] = bounds.non_ins_robust_upper
+                record["ins_robust_lower"] = bounds.ins_robust_lower
+                record["vacuous"] = bounds.vacuous
+            else:
+                record["note"] = note
+            lines = [json.dumps(record, separators=(",", ":"))]
+        elif args.format == "csv":
+            upper = bounds.non_ins_robust_upper if bounds is not None else ""
+            lower = bounds.ins_robust_lower if bounds is not None else ""
+            lines = [
+                "n,k,total,primitive,non_primitive,non_ins_robust_upper,ins_robust_lower",
+                f"{n},{k},{total},{primitive},{total - primitive},{upper},{lower}",
             ]
-        )
-        upper = bounds.non_ins_robust_upper if bounds is not None else ""
-        lower = bounds.ins_robust_lower if bounds is not None else ""
-        writer.writerow([n, k, total, primitive, total - primitive, upper, lower])
-    else:
-        print(f"count n={n} k={k}")
-        print(f"total\t{total}")
-        print(f"primitive\t{primitive}")
-        print(f"non-primitive\t{total - primitive}")
-        if bounds is not None:
-            print(f"non-ins-robust-upper\t{bounds.non_ins_robust_upper}")
-            suffix = " (vacuous)" if bounds.vacuous else ""
-            print(f"ins-robust-lower\t{bounds.ins_robust_lower}{suffix}")
         else:
-            print(f"note: {note}")
+            lines = [
+                f"count n={n} k={k}",
+                f"total\t{total}",
+                f"primitive\t{primitive}",
+                f"non-primitive\t{total - primitive}",
+            ]
+            if bounds is not None:
+                suffix = " (vacuous)" if bounds.vacuous else ""
+                lines.append(f"non-ins-robust-upper\t{bounds.non_ins_robust_upper}")
+                lines.append(f"ins-robust-lower\t{bounds.ins_robust_lower}{suffix}")
+            else:
+                lines.append(f"note: {note}")
+    except ValueError:
+        raise CliError(
+            f"count n={n} k={k} has values longer than Python's limit of"
+            f" {sys.get_int_max_str_digits()} digits for integer output"
+        ) from None
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -397,19 +387,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_census = sub.add_parser(
-        "census", help="classify every word of length n over the first k lowercase letters"
+        "census",
+        help="tally the words of length n over the first k lowercase letters by verdict",
     )
     p_census.add_argument("n", type=int)
     p_census.add_argument("k", type=int)
     p_census.add_argument("--list", action="store_true", help="include the words of each class")
     p_census.add_argument(
-        "--oracle", action="store_true", help="audit every verdict against the insertion oracle"
+        "--oracle",
+        action="store_true",
+        help="check every word's verdict with the fast classifier and the insertion oracle",
     )
     p_census.add_argument(
         "--budget",
         type=int,
         default=DEFAULT_CENSUS_BUDGET,
-        help="maximum number of classifications (default %(default)s)",
+        help="largest k^n, the number of words, to accept (default %(default)s)",
     )
     p_census.add_argument("--format", choices=("human", "jsonl", "csv"), default="human")
 

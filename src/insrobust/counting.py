@@ -18,17 +18,19 @@ of distinct rotation classes among those prefixes; it is 0 when n+1 is prime
 and n > 1, since then every prefix is a single repeated letter.  The cost is
 Σ_q k^((n+1)/q) candidates in place of k^n classifications.
 
-Words are enumerated and classified only where they must be listed or
-audited; the audit also checks the constructed tallies against the
-enumerated ones.
+Words are enumerated only where they must be listed or audited, in one
+sequential pass, and each takes its verdict from the same construction:
+non-primitive if its root is shorter than n, fragile if it is a rotation of
+a constructed class, ins-robust otherwise.  The audit also classifies every
+word with the fast classifier and with the insertion oracle, and checks the
+constructed tallies against the enumerated ones.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .classify import (
     Verdict,
@@ -37,13 +39,13 @@ from .classify import (
     _oracle_verdict_chars,
     eligible_periods,
 )
-from .words import Alphabet
+from .words import Alphabet, _root_length
 
 DEFAULT_CENSUS_BUDGET = 1 << 24
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested census is larger than the classification budget."""
+    """The requested census has more words (k^n) than its budget allows."""
 
 
 class OracleMismatchError(RuntimeError):
@@ -142,34 +144,6 @@ class CensusReport:
         return self.non_primitive + self.ins_robust + self.non_ins_robust
 
 
-def _lex_words(symbols: str, n: int, lo: int, hi: int) -> Iterator[str]:
-    # words of length n with lexicographic ranks in [lo, hi), in rank order
-    k = len(symbols)
-    if lo == 0 and hi == k**n:
-        for tup in itertools.product(symbols, repeat=n):
-            yield "".join(tup)
-        return
-    digits = []
-    rank = lo
-    for _ in range(n):
-        rank, d = divmod(rank, k)
-        digits.append(d)
-    digits.reverse()
-    chars = [symbols[d] for d in digits]
-    for _ in range(lo, hi):
-        yield "".join(chars)
-        i = n - 1
-        while i >= 0:
-            d = digits[i] + 1
-            if d < k:
-                digits[i] = d
-                chars[i] = symbols[d]
-                break
-            digits[i] = 0
-            chars[i] = symbols[0]
-            i -= 1
-
-
 def _fragile_classes(n: int, symbols: str) -> set[str]:
     # the least rotation of each primitive prefix (u^q)[:n]; see the module docstring
     classes = set()
@@ -193,65 +167,44 @@ def _constructed_counts(n: int, symbols: str) -> dict[Verdict, int]:
     }
 
 
-def _census_span(args: tuple[str, int, int, int, bool, bool]):
-    symbols, n, lo, hi, list_words, audit = args
-    maximal = _maximal_periods(n, eligible_periods(n))
+def _enumerate(
+    symbols: str, n: int, list_words: bool, audit: bool
+) -> tuple[dict[Verdict, int], dict[Verdict, tuple[str, ...]] | None]:
+    # each word's verdict comes from the construction; an audit also asks the
+    # fast classifier and the insertion oracle
+    fragile = {c[i:] + c[:i] for c in _fragile_classes(n, symbols) for i in range(n)}
+    maximal = _maximal_periods(n, eligible_periods(n)) if audit else ()
     counts = dict.fromkeys(Verdict, 0)
     words: dict[Verdict, list[str]] | None
     words = {v: [] for v in Verdict} if list_words else None
-    mismatches: list[tuple[str, str, str]] = []
-    for s in _lex_words(symbols, n, lo, hi):
-        verdict = _fast_verdict_chars(s, maximal)
+    mismatches: list[tuple[str, Verdict, Verdict, Verdict]] = []
+    for letters in itertools.product(symbols, repeat=n):
+        s = "".join(letters)
+        if _root_length(s) < n:
+            verdict = Verdict.NON_PRIMITIVE
+        elif s in fragile:
+            verdict = Verdict.NON_INS_ROBUST
+        else:
+            verdict = Verdict.INS_ROBUST
         if audit:
-            check = _oracle_verdict_chars(s, symbols)
-            if check is not verdict:
-                mismatches.append((s, verdict.value, check.value))
+            fast = _fast_verdict_chars(s, maximal)
+            oracle = _oracle_verdict_chars(s, symbols)
+            if fast is not verdict or oracle is not verdict:
+                mismatches.append((s, verdict, fast, oracle))
         counts[verdict] += 1
         if words is not None:
             words[verdict].append(s)
-    return counts, words, mismatches
-
-
-def _enumerate(
-    symbols: str, n: int, list_words: bool, audit: bool, workers: int
-) -> tuple[dict[Verdict, int], dict[Verdict, tuple[str, ...]] | None]:
-    total = len(symbols) ** n
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [total * i // workers for i in range(workers + 1)]
-        spans = [
-            (symbols, n, lo, hi, list_words, audit)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(pool.map(_census_span, spans))
-    else:
-        parts = [_census_span((symbols, n, 0, total, list_words, audit))]
-
-    counts = dict.fromkeys(Verdict, 0)
-    mismatches: list[tuple[str, str, str]] = []
-    for part_counts, _, part_mismatches in parts:
-        for verdict, tally in part_counts.items():
-            counts[verdict] += tally
-        mismatches.extend(part_mismatches)
     if mismatches:
         shown = "; ".join(
-            f"{word!r} fast={fast} oracle={oracle}" for word, fast, oracle in mismatches[:5]
+            f"{word!r} constructed={verdict.value} fast={fast.value} oracle={oracle.value}"
+            for word, verdict, fast, oracle in mismatches[:5]
         )
         raise OracleMismatchError(
-            f"fast classifier disagreed with the oracle on {len(mismatches)} word(s): {shown}"
+            f"verdicts disagreed on {len(mismatches)} word(s): {shown}"
         )
     words_map = None
-    if list_words:
-        words_map = {
-            verdict: tuple(
-                itertools.chain.from_iterable(part[1][verdict] for part in parts)
-            )
-            for verdict in Verdict
-        }
+    if words is not None:
+        words_map = {verdict: tuple(entries) for verdict, entries in words.items()}
     return counts, words_map
 
 
@@ -262,19 +215,17 @@ def census(
     list_words: bool = False,
     budget: int | None = DEFAULT_CENSUS_BUDGET,
     audit_oracle: bool = False,
-    workers: int = 0,
 ) -> CensusReport:
     """Tally the verdicts of every length-``n`` word over ``alphabet``.
 
-    The tallies come by construction (see the module docstring), so no word
-    is classified unless ``list_words`` asks for the words of each class or
-    ``audit_oracle`` for an audit; either one enumerates and classifies all
-    k^n words.  ``audit_oracle`` re-checks each word against the insertion
-    oracle and the enumerated tallies against the constructed ones, and
-    raises ``OracleMismatchError`` on any disagreement.  ``workers`` > 1
-    shards the enumeration across that many processes, at most one per CPU;
-    tallies and word lists are merged in rank order, so results are
-    identical for any worker count.  ``budget`` caps k^n in every case.
+    The tallies come by construction (see the module docstring) and classify
+    no word.  ``list_words`` also lists the words of each class, in
+    lexicographic order; their verdicts come from the same construction.
+    ``audit_oracle`` checks every word's constructed verdict against the fast
+    classifier and the insertion oracle, and the enumerated tallies against
+    the constructed ones, and raises ``OracleMismatchError`` on any
+    disagreement.  Either one walks all k^n words in one process.
+    ``budget`` caps k^n in every case.
     """
     if n < 1:
         raise ValueError("census requires a word length n >= 1")
@@ -290,7 +241,7 @@ def census(
     symbols = alphabet.symbols
     words_map = None
     if list_words or audit_oracle:
-        counts, words_map = _enumerate(symbols, n, list_words, audit_oracle, workers)
+        counts, words_map = _enumerate(symbols, n, list_words, audit_oracle)
     else:
         counts = _constructed_counts(n, symbols)
     if audit_oracle:

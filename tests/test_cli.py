@@ -273,15 +273,6 @@ class TestCensusCommand:
             "non_ins_robust": 6,
         }
 
-    def test_jsonl_identical_across_worker_counts(self, capsys, monkeypatch):
-        outputs = []
-        for threads in ("0", "2"):
-            monkeypatch.setenv("INSROBUST_THREADS", threads)
-            code, out, _ = run_cli(capsys, "census", "6", "2", "--list", "--format", "jsonl")
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-
     def test_oracle_audit(self, capsys):
         code, _, _ = run_cli(capsys, "census", "5", "2", "--oracle")
         assert code == 0
@@ -299,11 +290,11 @@ class TestCensusCommand:
         assert run_cli(capsys, "census", "3", "1")[0] == 2
         assert run_cli(capsys, "census", "3", "27")[0] == 2
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("INSROBUST_THREADS", "lots")
-        code, _, err = run_cli(capsys, "census", "3", "2")
-        assert code == 2
-        assert "INSROBUST_THREADS" in err
+    def test_budget_below_one_is_a_usage_error(self, capsys):
+        for budget in ("0", "-1"):
+            code, out, err = run_cli(capsys, "census", "3", "2", "--budget", budget)
+            assert (code, out) == (2, "")
+            assert "--budget" in err
 
 
 class TestCountCommand:
@@ -340,6 +331,17 @@ class TestCountCommand:
 
     def test_validation(self, capsys):
         assert run_cli(capsys, "count", "0", "2")[0] == 2
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["human", "jsonl", "csv"])
+    def test_digit_limit_writes_nothing(self, capsys, fmt):
+        # 2^20000 has 6021 digits, past Python's default int-to-str limit
+        code, out, err = run_cli(capsys, "count", "20000", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        limit = str(sys.get_int_max_str_digits())
+        assert "n=20000 k=2" in err and limit in err
 
 
 class TestBenchCommand:

@@ -1,4 +1,4 @@
-import concurrent.futures
+import itertools
 
 import pytest
 from conftest import BINARY, TERNARY, all_strings
@@ -11,9 +11,11 @@ from insrobust import (
     Verdict,
     Word,
     census,
+    classify,
     count_primitive,
     count_report,
     counting,
+    eligible_periods,
     is_primitive,
 )
 from insrobust.cli import main
@@ -136,38 +138,6 @@ class TestCensus:
         report = census(6, BINARY, audit_oracle=True)
         assert report.total == 64
 
-    def test_workers_do_not_change_results(self):
-        sequential = census(7, BINARY, list_words=True)
-        sharded = census(7, BINARY, list_words=True, workers=3)
-        assert sequential == sharded
-        assert census(4, TERNARY, workers=2) == census(4, TERNARY)
-
-    def test_worker_count_is_capped_at_cpu_count(self, monkeypatch):
-        # a fake pool records the requested worker count and maps in-process,
-        # so no process is started however many workers are asked for
-        requested = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        sequential = census(7, BINARY, list_words=True)
-        for cpus in (None, 1, 3):
-            monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
-            requested.clear()
-            assert census(7, BINARY, list_words=True, workers=10_000) == sequential
-            assert requested == ([3] if cpus == 3 else [])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             census(0, BINARY)
@@ -183,9 +153,21 @@ def _rotations(word):
     return {word[i:] + word[:i] for i in range(len(word))}
 
 
+def _classified_words(n, symbols):
+    """Every word of length n, in lexicographic order, grouped by the verdict
+    of the fast classifier: a reference that does not use the construction."""
+    maximal = classify._maximal_periods(n, eligible_periods(n))
+    words = {verdict: [] for verdict in Verdict}
+    for letters in itertools.product(symbols, repeat=n):
+        s = "".join(letters)
+        words[classify._fast_verdict_chars(s, maximal)].append(s)
+    return words
+
+
 class TestFragileByConstruction:
-    """Tallies-only censuses count fragile words from the rotation classes of
-    the primitive prefixes (u^q)[:n] and classify no word."""
+    """Censuses take every verdict from the rotation classes of the primitive
+    prefixes (u^q)[:n], so these tests check them against the fast
+    classifier, word by word."""
 
     @pytest.mark.parametrize(
         ("symbols", "max_n"), [("ab", 16), ("abc", 10), ("abcd", 7), ("ĀāĂ", 8)]
@@ -193,9 +175,11 @@ class TestFragileByConstruction:
     def test_tallies_equal_enumeration(self, symbols, max_n):
         alphabet = Alphabet(symbols)
         for n in range(1, max_n + 1):
+            classified = _classified_words(n, symbols)
             constructed = census(n, alphabet)
-            enumerated = census(n, alphabet, list_words=True)
-            assert _tallies(constructed) == _tallies(enumerated), n
+            listed = census(n, alphabet, list_words=True)
+            assert _tallies(constructed) == tuple(map(len, classified.values())), n
+            assert listed.words == {v: tuple(w) for v, w in classified.items()}, n
             if n > 1 and all((n + 1) % d for d in range(2, n + 1)):
                 assert constructed.non_ins_robust == 0  # n + 1 is prime
 
@@ -204,19 +188,17 @@ class TestFragileByConstruction:
         for n in range(1, max_n + 1):
             classes = counting._fragile_classes(n, symbols)
             expanded = set().union(*map(_rotations, classes))
-            fragile = census(n, Alphabet(symbols), list_words=True).words[
-                Verdict.NON_INS_ROBUST
-            ]
+            fragile = _classified_words(n, symbols)[Verdict.NON_INS_ROBUST]
             assert expanded == set(fragile), n
             assert len(expanded) == n * len(classes)
 
     def test_pinned_points_without_enumeration(self, monkeypatch):
-        def refuse(args):
+        def refuse(*args):
             raise AssertionError("a tallies-only census enumerated words")
 
-        monkeypatch.setattr(counting, "_census_span", refuse)
+        monkeypatch.setattr(counting, "_enumerate", refuse)
         assert _tallies(census(17, BINARY)) == (2, 126_276, 4_794)
-        assert _tallies(census(11, TERNARY, workers=2)) == (3, 171_270, 5_874)
+        assert _tallies(census(11, TERNARY)) == (3, 171_270, 5_874)
         assert census(20, BINARY).non_ins_robust == 1_360
         with pytest.raises(AssertionError):
             census(6, BINARY, list_words=True)
@@ -231,6 +213,26 @@ class TestFragileByConstruction:
             return counts
 
         assert main(["census", "6", "2", "--oracle"]) == 0
-        monkeypatch.setattr(counting, "_constructed_counts", off_by_one)
-        assert main(["census", "6", "2", "--oracle"]) == 1
-        assert "constructed tallies" in capsys.readouterr().err
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_constructed_counts", off_by_one)
+            assert main(["census", "6", "2", "--oracle"]) == 1
+            assert "constructed tallies" in capsys.readouterr().err
+
+        classes = counting._fragile_classes
+        lost = min(classes(8, "ab"))
+
+        def one_class_lost(n, symbols):
+            return classes(n, symbols) - {lost}
+
+        # the first word of the lost class is its least rotation
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_fragile_classes", one_class_lost)
+            assert main(["census", "8", "2", "--oracle"]) == 1
+            err = capsys.readouterr().err
+            assert f"{lost!r} constructed=ins-robust fast=non-ins-robust" in err
+
+        # the audit still checks the fast classifier, not only the oracle
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_fast_verdict_chars", lambda s, maximal: Verdict.INS_ROBUST)
+            assert main(["census", "8", "2", "--oracle"]) == 1
+            assert "fast=ins-robust oracle=non-" in capsys.readouterr().err
