@@ -12,10 +12,14 @@ ins-robust word costs ω(n+1) window scans, O(n · ω(n+1)) in all, and a
 fragile one ω(n+1) plus the smaller periods those hits allow, up to the
 first that hits.
 
-The scan is plain stdlib: ww is encoded at a fixed width (latin-1, or
-utf-32-le when a symbol is above U+00FF), XORed with itself shifted by p
-symbols as one big integer, and ``bytes.find`` looks for the first run of
-n-p zero symbols.  Each scan holds a few transient buffers of 2n·width bytes.
+The scan is plain stdlib.  Each word is encoded once, at a fixed width
+(latin-1, or utf-32-le when a symbol is above U+00FF), and ww becomes one big
+integer.  A scan XORs it with itself shifted by p symbols and ``bytes.find``
+looks for the first run of n-p zero symbols.  The maximal periods come from
+the cached factorization of n+1; the divisors of n+1 are listed only once a
+maximal period hits.  Each scan holds a few transient buffers of 2n·width
+bytes.  The primitivity check is ``words._root_length``, by rotation
+compares; the oracle keeps ``(s + s).find(s, 1)`` as an independent check.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from enum import Enum
 from typing import Iterator
 
 from .repetitions import find_maximal_repetitions
-from .words import Word, _root_length, insert, primitive_root
+from .words import Word, _prime_factorization, _root_length, insert, primitive_root
 
 
 class Verdict(Enum):
@@ -96,34 +100,36 @@ def eligible_periods(n: int) -> tuple[int, ...]:
     length n+1 reachable by one insertion; every one of them yields a power
     of exponent >= 2, because the sole divisor of n+1 above (n+1)/2 is n+1.
     """
-    m = n + 1
-    divisors = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            divisors.append(d)
-            if d != m // d:
-                divisors.append(m // d)
-        d += 1
-    return tuple(sorted(p for p in divisors if p <= n))
+    divisors = [1]
+    for q, e in _prime_factorization(n + 1):
+        divisors = [d * q**k for d in divisors for k in range(e + 1)]
+    return tuple(sorted(d for d in divisors if d <= n))
 
 
-def _leftmost_periodic_start(b: bytes, n: int, p: int) -> int | None:
-    """Smallest i in [0, n] whose length-n window of v has period p, else None.
+def _encode(s: str) -> tuple[int, int]:
+    """ww as one little-endian integer, and its bytes per symbol."""
+    try:
+        e, width = s.encode("latin-1"), 1
+    except UnicodeEncodeError:
+        e, width = s.encode("utf-32-le", "surrogatepass"), 4
+    x = int.from_bytes(e, "little")
+    return x | x << (8 * len(e)), width
 
-    ``b`` is v = ww at len(b) // (2n) bytes per symbol.  The window at i has
-    period p iff v[t] == v[t+p] for every t in [i, i+n-p-1]: a run of n-p
-    zero symbols in v XOR (v shifted by p), ending by symbol 2n-p, where the
-    shifted copy runs out.  A zero run at an offset off the symbol grid is
-    searched again from the next symbol.  Transient memory: a few buffers of
-    len(b) bytes.
+
+def _leftmost_periodic_start(v: tuple[int, int], n: int, p: int) -> int | None:
+    """Smallest i in [0, n] whose length-n window of ww has period p, else None.
+
+    ``v`` is ``_encode(w)``.  The window at i has period p iff ww[t] ==
+    ww[t+p] for every t in [i, i+n-p-1]: a run of n-p zero symbols in ww XOR
+    (ww shifted by p), ending by symbol 2n-p, where the shifted copy runs
+    out.  A zero run at an offset off the symbol grid is searched again from
+    the next symbol.  Transient memory: a few buffers of 2n·width bytes.
     """
     need = n - p
     if need <= 0:
         return 0
-    width = len(b) // (2 * n)
-    x = int.from_bytes(b, "little")
-    diff = (x ^ (x >> (8 * width * p))).to_bytes(len(b), "little")
+    x, width = v
+    diff = (x ^ (x >> (8 * width * p))).to_bytes(2 * n * width, "little")
     zeros = bytes(need * width)
     end = (2 * n - p) * width
     j = diff.find(zeros, 0, end)
@@ -132,47 +138,35 @@ def _leftmost_periodic_start(b: bytes, n: int, p: int) -> int | None:
     return None if j < 0 else j // width
 
 
-def _maximal_periods(n: int, periods: tuple[int, ...]) -> tuple[int, ...]:
-    """The periods (n+1)/q for the primes q dividing n+1, ascending.
-
-    ``periods`` is ``eligible_periods(n)``, the divisors of n+1 below n+1, so
-    a divisor above 1 is prime iff no smaller prime divisor divides it.  An
-    eligible p divides (n+1)/q exactly when q divides (n+1)/p.
-    """
+def _maximal_hits(v: tuple[int, int], n: int) -> dict[int, int]:
+    """The leftmost start of each maximal period (n+1)/q that hits, q a
+    prime of n+1, keyed by period."""
     m = n + 1
-    primes: list[int] = []
-    for d in periods[1:] + (m,):
-        if all(d % q for q in primes):
-            primes.append(d)
-    return tuple(m // q for q in reversed(primes))
+    hits = {}
+    for q, _ in reversed(_prime_factorization(m)):
+        i = _leftmost_periodic_start(v, n, m // q)
+        if i is not None:
+            hits[m // q] = i
+    return hits
 
 
-def _first_hit(
-    s: str, periods: tuple[int, ...], maximal: tuple[int, ...]
-) -> tuple[int, int] | None:
-    """The smallest p in ``periods`` whose window of ss at some i has period p,
-    with the leftmost such i.
+def _first_hit(s: str) -> tuple[int, int] | None:
+    """The smallest eligible period p whose window of ss at some i has period
+    p, with the leftmost such i.
 
     A window with period p has every multiple of p as a period too, so p can
     hit only where every maximal period it divides hits.  The maximal periods
     are scanned first; then, in ascending order, only the periods they allow.
     """
     n = len(s)
-    try:
-        e = s.encode("latin-1")
-    except UnicodeEncodeError:
-        e = s.encode("utf-32-le", "surrogatepass")
-    b = e + e
-    hits: dict[int, int] = {}
-    for top in maximal:
-        i = _leftmost_periodic_start(b, n, top)
-        if i is not None:
-            hits[top] = i
+    v = _encode(s)
+    hits = _maximal_hits(v, n)
     if not hits:
         return None
-    for p in periods:
+    maximal = [(n + 1) // q for q, _ in _prime_factorization(n + 1)]
+    for p in eligible_periods(n):
         if all(top in hits for top in maximal if top % p == 0):
-            i = hits[p] if p in hits else _leftmost_periodic_start(b, n, p)
+            i = hits[p] if p in hits else _leftmost_periodic_start(v, n, p)
             if i is not None:
                 return p, i
     return None
@@ -191,8 +185,7 @@ def classify_fast(w: Word) -> Classification:
     r = _root_length(s)
     if r < n:
         return Classification.non_primitive(Word(s[:r], w.alphabet), n // r)
-    periods = eligible_periods(n)
-    hit = _first_hit(s, periods, _maximal_periods(n, periods))
+    hit = _first_hit(s)
     if hit is None:
         return Classification.ins_robust()
     p, start = hit
@@ -214,7 +207,8 @@ def _collapsing_insertions(s: str, symbols: str) -> Iterator[tuple[int, str, int
     for position in range(n + 1):
         head, tail = s[:position], s[position:]
         for letter in symbols:
-            er = _root_length(head + letter + tail)
+            x = head + letter + tail
+            er = (x + x).find(x, 1)
             if er < n + 1:
                 yield position, letter, er
 
@@ -223,12 +217,14 @@ def classify_oracle(w: Word) -> Classification:
     """Classify ``w`` by trying every insertion; lists every witness found.
 
     O(n^2 · k) reference implementation — the ground truth the fast
-    classifier is validated against, never the hot path.
+    classifier is validated against, never the hot path.  Its root lengths
+    come from ``(s + s).find(s, 1)``, not from the fast path's rotation
+    compares.
     """
     _require_classifiable(w)
     s = w.chars
     n = len(s)
-    r = _root_length(s)
+    r = (s + s).find(s, 1)
     if r < n:
         return Classification.non_primitive(Word(s[:r], w.alphabet), n // r)
     witnesses = tuple(
@@ -323,17 +319,17 @@ def non_ins_robust_decomposition(
     return copies, Word(u1, w.alphabet), Word(u2, w.alphabet), trailing
 
 
-def _fast_verdict_chars(s: str, maximal: tuple[int, ...]) -> Verdict:
+def _fast_verdict_chars(s: str) -> Verdict:
     # census hot path: verdict only, no Word/witness construction; some period
     # hits iff a maximal one does, so the maximal periods are all it scans
     if _root_length(s) < len(s):
         return Verdict.NON_PRIMITIVE
-    hit = _first_hit(s, maximal, maximal)
-    return Verdict.INS_ROBUST if hit is None else Verdict.NON_INS_ROBUST
+    hits = _maximal_hits(_encode(s), len(s))
+    return Verdict.NON_INS_ROBUST if hits else Verdict.INS_ROBUST
 
 
 def _oracle_verdict_chars(s: str, symbols: str) -> Verdict:
-    if _root_length(s) < len(s):
+    if (s + s).find(s, 1) < len(s):
         return Verdict.NON_PRIMITIVE
     hit = next(_collapsing_insertions(s, symbols), None)
     return Verdict.INS_ROBUST if hit is None else Verdict.NON_INS_ROBUST

@@ -78,6 +78,18 @@ def _gather_words(args) -> list[str]:
     return _read_lines(sys.stdin)
 
 
+def _inferred_symbols(texts: list[str]) -> str:
+    """Every symbol of the batch, in codepoint order."""
+    # deleting the symbols seen so far leaves only the new ones, so only a
+    # word with a new symbol pays for a set
+    seen: dict[int, None] = {}
+    for text in texts:
+        rest = text.translate(seen)
+        if rest:
+            seen.update(dict.fromkeys(map(ord, set(rest))))
+    return "".join(map(chr, sorted(seen)))
+
+
 def _classification_record(text: str, result) -> dict:
     record: dict = {"word": text, "verdict": result.verdict.value}
     if result.verdict is Verdict.NON_PRIMITIVE:
@@ -121,7 +133,7 @@ def _cmd_classify(args) -> int:
     if args.alphabet is not None:
         symbols = _symbols_of(args.alphabet, args.unicode)
     else:
-        symbols = "".join(sorted(set().union(*map(set, texts))))
+        symbols = _inferred_symbols(texts)
         if len(symbols) < 2:
             raise CliError(
                 "inferred alphabet has fewer than two symbols;"

@@ -32,14 +32,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .classify import (
-    Verdict,
-    _fast_verdict_chars,
-    _maximal_periods,
-    _oracle_verdict_chars,
-    eligible_periods,
-)
-from .words import Alphabet, _root_length
+from .classify import Verdict, _fast_verdict_chars, _oracle_verdict_chars
+
+# not called here; the traced benchmark (perfbench/spans.py) wraps counting.eligible_periods
+from .classify import eligible_periods  # noqa: F401
+from .words import Alphabet, _prime_factorization
 
 DEFAULT_CENSUS_BUDGET = 1 << 24
 
@@ -52,20 +49,6 @@ class OracleMismatchError(RuntimeError):
     """The fast classifier and the insertion oracle disagreed during an audit."""
 
 
-def _distinct_prime_factors(n: int) -> list[int]:
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def count_primitive(n: int, k: int) -> int:
     """The number of primitive words of length ``n`` over ``k`` symbols.
 
@@ -76,7 +59,7 @@ def count_primitive(n: int, k: int) -> int:
         raise ValueError("count_primitive requires a word length n >= 1")
     if k < 1:
         raise ValueError("count_primitive requires an alphabet size k >= 1")
-    primes = _distinct_prime_factors(n)
+    primes = [q for q, _ in _prime_factorization(n)]
     total = 0
     for mask in range(1 << len(primes)):
         d = 1
@@ -147,7 +130,7 @@ class CensusReport:
 def _fragile_classes(n: int, symbols: str) -> set[str]:
     # the least rotation of each primitive prefix (u^q)[:n]; see the module docstring
     classes = set()
-    for q in _distinct_prime_factors(n + 1):
+    for q, _ in _prime_factorization(n + 1):
         for letters in itertools.product(symbols, repeat=(n + 1) // q):
             x = ("".join(letters) * q)[:n]
             xx = x + x
@@ -171,23 +154,24 @@ def _enumerate(
     symbols: str, n: int, list_words: bool, audit: bool
 ) -> tuple[dict[Verdict, int], dict[Verdict, tuple[str, ...]] | None]:
     # each word's verdict comes from the construction; an audit also asks the
-    # fast classifier and the insertion oracle
+    # fast classifier and the insertion oracle.  Primitivity is tested with
+    # (s + s).find(s, 1), as in _fragile_classes, not with the fast path's
+    # rotation compares, which are slower on words this short.
     fragile = {c[i:] + c[:i] for c in _fragile_classes(n, symbols) for i in range(n)}
-    maximal = _maximal_periods(n, eligible_periods(n)) if audit else ()
     counts = dict.fromkeys(Verdict, 0)
     words: dict[Verdict, list[str]] | None
     words = {v: [] for v in Verdict} if list_words else None
     mismatches: list[tuple[str, Verdict, Verdict, Verdict]] = []
     for letters in itertools.product(symbols, repeat=n):
         s = "".join(letters)
-        if _root_length(s) < n:
+        if (s + s).find(s, 1) < n:
             verdict = Verdict.NON_PRIMITIVE
         elif s in fragile:
             verdict = Verdict.NON_INS_ROBUST
         else:
             verdict = Verdict.INS_ROBUST
         if audit:
-            fast = _fast_verdict_chars(s, maximal)
+            fast = _fast_verdict_chars(s)
             oracle = _oracle_verdict_chars(s, symbols)
             if fast is not verdict or oracle is not verdict:
                 mismatches.append((s, verdict, fast, oracle))

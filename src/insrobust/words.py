@@ -4,10 +4,20 @@ A word is a string together with the alphabet it is read over.  Keeping the
 alphabet attached matters here: insertion-robustness is a property of the pair
 (word, alphabet), not of the string alone — a word can be robust over one
 alphabet and fragile over a larger one.
+
+Every linear pass here runs in C.  A ``Word`` checks its symbols with one
+``str.translate`` through its alphabet's deletion table.  The root length of
+a word of length n is found by rotation compares: dividing n by each prime q
+of n while the shorter rotation still matches takes at most ω(n) + Ω(n)
+slice compares, each at memcmp speed, where ``(s + s).find(s, 1)`` runs a
+substring search over 2n symbols.  The brute-force oracles and the census
+keep that ``find``: it is faster on words of up to about 100 symbols, where
+they work, and it keeps them independent of the fast path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -20,7 +30,7 @@ class Alphabet:
     (e.g. which extension letter a search tries first) follow it.
     """
 
-    __slots__ = ("_symbols", "_index")
+    __slots__ = ("_symbols", "_index", "_delete")
 
     def __init__(self, symbols: str):
         if not symbols:
@@ -34,6 +44,8 @@ class Alphabet:
             seen[ch] = position
         self._symbols = symbols
         self._index = seen
+        # str.translate deletes every symbol, so what is left is not in the alphabet
+        self._delete = dict.fromkeys(map(ord, seen))
 
     @property
     def symbols(self) -> str:
@@ -77,8 +89,8 @@ class Word:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        stray = set(self.chars).difference(self.alphabet._index)
-        if stray:
+        if self.chars.translate(self.alphabet._delete):
+            stray = set(self.chars).difference(self.alphabet._index)
             raise ValueError(
                 f"word uses symbols {sorted(stray)!r} outside alphabet {self.alphabet.symbols!r}"
             )
@@ -126,11 +138,35 @@ def border_array(w: Word) -> list[int]:
     return _border(w.chars)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """The primes of ``n`` with their exponents, ascending; () for n <= 1."""
+    factors = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            factors.append((q, e))
+        q += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
 def _root_length(s: str) -> int:
-    # Smallest r such that s is a power of s[:r].  The first occurrence of s
-    # inside s+s after position 0 is at exactly that r; for primitive s it is
-    # len(s).  This runs at C speed via str.find.
-    return (s + s).find(s, 1)
+    # The smallest r dividing n = len(s) with s[r:] == s[:n-r], that is, with
+    # s a power of s[:r]; n when s is primitive.  The periods of s that divide
+    # n are the multiples of r (Fine–Wilf), so starting from n, a prime q can
+    # be divided out exactly while the shorter rotation still matches.
+    n = len(s)
+    r = n
+    for q, _ in _prime_factorization(n):
+        while r % q == 0 and s[r // q :] == s[: n - r // q]:
+            r //= q
+    return r
 
 
 def is_primitive(w: Word) -> bool:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from insrobust import (
     reverse,
 )
 from insrobust import classify as classify_module
+from insrobust.words import _prime_factorization
 
 ternary_words = st.text(alphabet="abc", min_size=1, max_size=24).map(
     lambda s: Word(s, TERNARY)
@@ -411,17 +413,21 @@ def _full_scan(s: str, periods: tuple[int, ...]) -> tuple[int, int] | None:
         e = s.encode("latin-1")
     except UnicodeEncodeError:
         e = s.encode("utf-32-le", "surrogatepass")
+    x = int.from_bytes(e + e, "little")
     for p in periods:
-        i = classify_module._leftmost_periodic_start(e + e, n, p)
+        i = classify_module._leftmost_periodic_start((x, len(e) // n), n, p)
         if i is not None:
             return p, i
     return None
 
 
+def _maximal_periods(n: int) -> tuple[int, ...]:
+    return tuple(sorted((n + 1) // q for q, _ in _prime_factorization(n + 1)))
+
+
 def _hit_and_plan(s: str):
-    periods = eligible_periods(len(s))
-    maximal = classify_module._maximal_periods(len(s), periods)
-    return classify_module._first_hit(s, periods, maximal), periods, maximal
+    n = len(s)
+    return classify_module._first_hit(s), eligible_periods(n), _maximal_periods(n)
 
 
 class TestHitGuidedScan:
@@ -429,14 +435,20 @@ class TestHitGuidedScan:
     periods they allow; it must return what the full ascending scan does."""
 
     def test_maximal_periods(self):
-        assert classify_module._maximal_periods(719, eligible_periods(719)) == (144, 240, 360)
+        # the maximal periods (n+1)/q come from the cached factorization of n+1
+        assert _maximal_periods(719) == (144, 240, 360)
+        assert _prime_factorization(720_720) == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
+        assert _prime_factorization(1) == ()
         for n in range(1, 400):
             m = n + 1
             primes = [
                 q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))
             ]
-            expected = tuple(sorted(m // q for q in primes))
-            assert classify_module._maximal_periods(n, eligible_periods(n)) == expected, n
+            factors = _prime_factorization(m)
+            assert [q for q, _ in factors] == primes, m
+            assert math.prod(q**e for q, e in factors) == m, m
+            assert all(m % q ** (e + 1) for q, e in factors), m
+            assert _maximal_periods(n) == tuple(sorted(m // q for q in primes)), n
 
     def test_matches_full_scan_exhaustive(self):
         for symbols, longest in (("ab", 14), ("abc", 8)):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from insrobust.cli import main
+from insrobust.cli import _inferred_symbols, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -158,6 +158,109 @@ class TestClassifyCommand:
         code, out, _ = run_cli(capsys, "classify", "éz", "--unicode")
         assert code == 0
         assert "ins-robust" in out
+
+
+class TestInferenceAndValidation:
+    """Alphabet inference and symbol checks, pinned to the exact bytes and
+    exit codes of the ``set``-based code they replaced."""
+
+    def test_symbol_first_seen_in_the_last_word(self, capsys):
+        # "a" appears only in the last word and sorts first in the alphabet
+        words = ["bcbc", "cbcb", "bcb", "cbbc", "abc"]
+        code, out, err = run_cli(capsys, "classify", "--oracle", "--format", "jsonl", *words)
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"word":"bcbc","verdict":"non-primitive","root":"bc","exponent":2}\n'
+            '{"word":"cbcb","verdict":"non-primitive","root":"cb","exponent":2}\n'
+            '{"word":"bcb","verdict":"non-ins-robust","witnesses":['
+            '{"position":0,"letter":"c","root":"cb","power":2},'
+            '{"position":3,"letter":"c","root":"bc","power":2}]}\n'
+            '{"word":"cbbc","verdict":"ins-robust"}\n'
+            '{"word":"abc","verdict":"ins-robust"}\n'
+        )
+        code, out, err = run_cli(capsys, "classify", "aaa", "bab", "abcab")
+        assert (code, err) == (0, "")
+        assert out == (
+            "aaa\tnon-primitive\ta^3\n"
+            "bab\tnon-ins-robust\tinsert a at 0 -> ab^2\n"
+            "abcab\tnon-ins-robust\tinsert c at 0 -> cab^2\n"
+        )
+
+    def test_inferred_symbols(self):
+        grin = "\U0001f600"
+        cases = [
+            (["aaa", "bcb"], "abc"),  # two new symbols in the last word
+            (["cbc", "b", "a"], "abc"),
+            (["ba", "ab"], "ab"),
+            (["z" + grin, "\xc3\xa9", "z"], "z\xa9\xc3" + grin),
+            (["aaa"], "a"),
+        ]
+        for texts, expected in cases:
+            assert _inferred_symbols(texts) == expected, texts
+
+    def test_one_symbol_batch(self, capsys):
+        assert run_cli(capsys, "classify", "aaa", "aaaa") == (
+            2,
+            "",
+            "error: inferred alphabet has fewer than two symbols; pass --alphabet to widen it\n",
+        )
+
+    def test_non_ascii_bytes(self, capsys):
+        # byte mode: "é" is the two symbols \xc3 \xa9
+        code, out, err = run_cli(capsys, "classify", "éa", "aé", "ééa")
+        assert (code, err) == (0, "")
+        assert out == (
+            "\xc3\xa9a\tins-robust\n"
+            "a\xc3\xa9\tins-robust\n"
+            "\xc3\xa9\xc3\xa9a\tnon-ins-robust\tinsert a at 2 -> \xc3\xa9a^2\n"
+        )
+        code, out, err = run_cli(capsys, "classify", "éa", "aé", "--alphabet", "aé")
+        assert (code, err) == (0, "")
+        assert out == "\xc3\xa9a\tins-robust\na\xc3\xa9\tins-robust\n"
+        assert run_cli(capsys, "classify", "éa", "--alphabet", "ab") == (
+            2,
+            "",
+            "error: word uses symbols ['\xa9', '\xc3'] outside alphabet 'ab'\n",
+        )
+        assert run_cli(capsys, "classify", "éa", "--alphabet", "ab", "--unicode") == (
+            2,
+            "",
+            "error: word uses symbols ['é'] outside alphabet 'ab'\n",
+        )
+
+    def test_astral_symbols_in_unicode_mode(self, capsys):
+        grin, beam = "\U0001f600", "\U0001f601"
+        words = [grin + beam + grin, grin * 2 + beam * 2, (grin + beam) * 2 + grin, "a" + grin]
+        code, out, err = run_cli(capsys, "classify", "--unicode", *words)
+        assert (code, err) == (0, "")
+        assert out == (
+            f"{words[0]}\tnon-ins-robust\tinsert {beam} at 0 -> {beam}{grin}^2\n"
+            f"{words[1]}\tins-robust\n"
+            f"{words[2]}\tnon-ins-robust\tinsert {beam} at 0 -> {beam}{grin}^3\n"
+            f"{words[3]}\tins-robust\n"
+        )
+        assert run_cli(capsys, "classify", "--unicode", grin + "a", "--alphabet", grin + "b") == (
+            2,
+            "",
+            f"error: word uses symbols ['a'] outside alphabet '{grin}b'\n",
+        )
+
+    def test_word_outside_explicit_alphabet(self, capsys):
+        # words before the first bad one are already written
+        for argv, out, listed in (
+            (["abc", "--alphabet", "ab"], "", "['c']"),
+            (
+                ["ab", "abc", "cab", "--alphabet", "ab", "--format", "jsonl"],
+                '{"word":"ab","verdict":"ins-robust"}\n',
+                "['c']",
+            ),
+            (["abcxyz", "--alphabet", "ab"], "", "['c', 'x', 'y', 'z']"),
+        ):
+            assert run_cli(capsys, "classify", *argv) == (
+                2,
+                out,
+                f"error: word uses symbols {listed} outside alphabet 'ab'\n",
+            )
 
 
 class TestTracedAttributes:

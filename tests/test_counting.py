@@ -15,7 +15,6 @@ from insrobust import (
     count_primitive,
     count_report,
     counting,
-    eligible_periods,
     is_primitive,
 )
 from insrobust.cli import main
@@ -156,11 +155,10 @@ def _rotations(word):
 def _classified_words(n, symbols):
     """Every word of length n, in lexicographic order, grouped by the verdict
     of the fast classifier: a reference that does not use the construction."""
-    maximal = classify._maximal_periods(n, eligible_periods(n))
     words = {verdict: [] for verdict in Verdict}
     for letters in itertools.product(symbols, repeat=n):
         s = "".join(letters)
-        words[classify._fast_verdict_chars(s, maximal)].append(s)
+        words[classify._fast_verdict_chars(s)].append(s)
     return words
 
 
@@ -233,6 +231,6 @@ class TestFragileByConstruction:
 
         # the audit still checks the fast classifier, not only the oracle
         with monkeypatch.context() as patch:
-            patch.setattr(counting, "_fast_verdict_chars", lambda s, maximal: Verdict.INS_ROBUST)
+            patch.setattr(counting, "_fast_verdict_chars", lambda s: Verdict.INS_ROBUST)
             assert main(["census", "8", "2", "--oracle"]) == 1
             assert "fast=ins-robust oracle=non-" in capsys.readouterr().err

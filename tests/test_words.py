@@ -1,7 +1,8 @@
+import random
 import time
 
 import pytest
-from conftest import BINARY, TERNARY, all_words, loglog_slope
+from conftest import BINARY, TERNARY, all_strings, all_words, loglog_slope
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from insrobust import (
     rotate,
     words_of_length,
 )
+from insrobust.words import _root_length
 
 binary_words = st.text(alphabet="ab", min_size=1, max_size=48).map(
     lambda s: Word(s, BINARY)
@@ -68,6 +70,25 @@ class TestWord:
 
     def test_empty_word_is_allowed(self):
         assert len(Word("", BINARY)) == 0
+
+    def test_foreign_symbols_are_listed_sorted(self):
+        cases = [
+            ("abczyx", BINARY, "['c', 'x', 'y', 'z']"),
+            ("a\u00c3\u00a9b", BINARY, "['©', 'Ã']"),
+            ("a\U0001f600b", BINARY, "['😀']"),
+            ("\U0001f600a\U0001f601", Alphabet("\U0001f600b"), "['a', '😁']"),
+        ]
+        for chars, alphabet, listed in cases:
+            with pytest.raises(ValueError) as caught:
+                Word(chars, alphabet)
+            expected = f"word uses symbols {listed} outside alphabet {alphabet.symbols!r}"
+            assert str(caught.value) == expected
+
+    def test_non_ascii_and_astral_symbols_are_accepted(self):
+        for symbols in ("\u00c3\u00a9a", "\U0001f600\U0001f601", "\ud800a"):
+            alphabet = Alphabet(symbols)
+            chars = symbols * 3 + symbols[::-1]
+            assert Word(chars, alphabet).chars == chars
 
 
 class TestBorderArray:
@@ -165,6 +186,55 @@ class TestPrimitiveRoot:
         assert root.chars * exponent == w.chars
         assert is_primitive(root)
         assert (exponent == 1) == is_primitive(w)
+
+
+def _root_by_find(s: str) -> int:
+    return (s + s).find(s, 1)
+
+
+def _spread(divisors: list[int]) -> list[int]:
+    return sorted(set(divisors[:8] + divisors[-8:]))
+
+
+def _near_powers(n: int, symbols: str, rng: random.Random) -> list[str]:
+    """u^m of length n for divisors |u| of n, u^m with one letter deleted for
+    divisors |u| <= (n+1)/2 of n+1, (ab)^k b-like words, a^n and a^(n-1) b."""
+    a, b = symbols[0], symbols[1]
+    words = [a * n, a * (n - 1) + b]
+    alternating = ((a + b) * n)[: n - 1]
+    words += [alternating + b, alternating + a]
+    for d in _spread([d for d in range(1, n + 1) if n % d == 0]):
+        words.append("".join(rng.choices(symbols, k=d)) * (n // d))
+    for d in _spread([d for d in range(1, (n + 1) // 2 + 1) if (n + 1) % d == 0]):
+        full = "".join(rng.choices(symbols, k=d)) * ((n + 1) // d)
+        cut = rng.randrange(n + 1)
+        words.append(full[:cut] + full[cut + 1 :])
+    return words
+
+
+class TestRootLength:
+    """``_root_length`` (rotation compares over the primes of n) against the
+    independent ``(s + s).find(s, 1)``."""
+
+    def test_exhaustive_binary_up_to_14_and_ternary_up_to_9(self):
+        for symbols, longest in (("ab", 14), ("abc", 9)):
+            for s in all_strings(symbols, 1, longest):
+                assert _root_length(s) == _root_by_find(s), s
+
+    # 1, primes (1999 lies below CPython's two-way search threshold, where
+    # find is slow on near-powers), 2001, 2^12 - 1, 65520 and 720720 (many
+    # divisors), and 2^19
+    @pytest.mark.parametrize("n", [1, 7919, 1999, 2001, 4095, 65520, 720720, 1 << 19])
+    @pytest.mark.parametrize("symbols", ["ab", "abc", "\U0001f600\U00010000\uffff"])
+    def test_near_powers_match_find(self, n, symbols):
+        rng = random.Random(n)
+        for s in _near_powers(n, symbols, rng):
+            assert len(s) == n
+            assert _root_length(s) == _root_by_find(s), (n, s[:40])
+
+    def test_astral_codepoints_exhaustive(self):
+        for s in all_strings("\U0001f600\U0010ffffa", 1, 8):
+            assert _root_length(s) == _root_by_find(s), s
 
 
 class TestRotate:
