@@ -24,9 +24,8 @@ compares; the oracle keeps ``(s + s).find(s, 1)`` as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .repetitions import find_maximal_repetitions
 from .words import Word, _prime_factorization, _root_length, insert, primitive_root
@@ -38,8 +37,7 @@ class Verdict(Enum):
     NON_INS_ROBUST = "non-ins-robust"
 
 
-@dataclass(frozen=True, slots=True)
-class InsertionWitness:
+class InsertionWitness(NamedTuple):
     """A single insertion that destroys primitivity.
 
     ``insert(w, position, letter)`` equals ``root ** power`` with the root
@@ -52,8 +50,7 @@ class InsertionWitness:
     power: int
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: Verdict
     root: Word | None = None
     exponent: int | None = None

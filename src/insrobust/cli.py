@@ -15,14 +15,11 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import random
-import statistics
 import sys
 import time
-from string import ascii_lowercase
 
 from .classify import Verdict, classify_fast, classify_oracle
 from .counting import (
@@ -40,6 +37,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# one encoder for every JSON line; json.dumps with separators builds a new one per call
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class CliError(Exception):
@@ -108,6 +108,10 @@ def _classification_record(text: str, result) -> dict:
     return record
 
 
+def _classification_json(text: str, result) -> str:
+    return _JSON.encode(_classification_record(text, result))
+
+
 def _classification_line(text: str, result) -> str:
     if result.verdict is Verdict.NON_PRIMITIVE:
         return f"{text}\tnon-primitive\t{result.root.chars}^{result.exponent}"
@@ -144,12 +148,11 @@ def _cmd_classify(args) -> int:
         if len(alphabet) < 2:
             raise CliError("alphabet must contain at least two symbols")
         classifier = classify_oracle if args.oracle else classify_fast
-        for text in texts:
-            result = classifier(Word(text, alphabet))
-            if args.format == "jsonl":
-                print(json.dumps(_classification_record(text, result), separators=(",", ":")))
-            else:
-                print(_classification_line(text, result))
+        render = _classification_json if args.format == "jsonl" else _classification_line
+        # lines are generated lazily, so no copy of the batch's output is held
+        sys.stdout.writelines(
+            render(text, classifier(Word(text, alphabet))) + "\n" for text in texts
+        )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return EXIT_OK
@@ -192,6 +195,8 @@ def _cmd_census(args) -> int:
         raise CliError("--list is not available with csv; use human or jsonl")
     if args.budget < 1:
         raise CliError("--budget must be at least 1")
+    from string import ascii_lowercase
+
     alphabet = Alphabet(ascii_lowercase[: args.k])
     report = census(
         args.n,
@@ -217,8 +222,10 @@ def _cmd_census(args) -> int:
             record["words"] = {
                 verdict.value: list(report.words[verdict]) for verdict in _VERDICT_ORDER
             }
-        print(json.dumps(record, separators=(",", ":")))
+        print(_JSON.encode(record))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "k", "non_primitive", "ins_robust", "non_ins_robust"])
         writer.writerow(
@@ -262,7 +269,7 @@ def _cmd_count(args) -> int:
                 record["vacuous"] = bounds.vacuous
             else:
                 record["note"] = note
-            lines = [json.dumps(record, separators=(",", ":"))]
+            lines = [_JSON.encode(record)]
         elif args.format == "csv":
             upper = bounds.non_ins_robust_upper if bounds is not None else ""
             lower = bounds.ins_robust_lower if bounds is not None else ""
@@ -319,6 +326,8 @@ def _random_binary_word(n: int, seed: int) -> str:
 
 
 def _loglog_slope(points: list[tuple[int, float]]) -> float:
+    import statistics
+
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(max(seconds, 1e-9)) for _, seconds in points]
     mean_x = statistics.fmean(xs)
@@ -329,6 +338,8 @@ def _loglog_slope(points: list[tuple[int, float]]) -> float:
 
 
 def _cmd_bench(args) -> int:
+    import statistics
+
     if args.trials < 1:
         raise CliError("bench needs at least one trial")
     sizes = _parse_sizes(args.sizes)

@@ -29,8 +29,7 @@ constructed tallies against the enumerated ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .classify import Verdict, _fast_verdict_chars, _oracle_verdict_chars
 
@@ -72,8 +71,7 @@ def count_primitive(n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Closed-form counts for length ``n`` over ``k`` symbols.
 
     ``non_ins_robust_upper`` bounds the fragile primitive words from above;
@@ -113,8 +111,7 @@ def count_report(n: int, k: int) -> CountReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     n: int
     k: int
     non_primitive: int

@@ -6,10 +6,13 @@ strictly increasing its minimal period.  ``find_maximal_repetitions`` computes
 the exact run set from Lyndon roots (the Runs Theorem of Bannai et al., SIAM
 J. Comput. 2017): one Lyndon array per letter order names a root candidate
 at each position, and longest-common-extension (LCE) queries extend it.  The
-Lyndon arrays are built by slice comparisons of min(|u|, |v|) symbols, and
-each candidate is pre-tested by comparing at most 2⌈p/2⌉ symbols before its
-two LCE queries.  On words of blocks of length k, such as (a^k b)^m, that is
-still O(n·k) symbol comparisons, done at C speed.  ``runs_bruteforce``
+runs of period 1 are the letter blocks, found by one regular-expression pass.
+The Lyndon arrays are built by slice comparisons of min(|u|, |v|) symbols.
+Each candidate is pre-tested by comparing at most 2⌈p/2⌉ symbols, then by
+one symbol before it and one at the far end of the shortest run it could
+start, so most candidates that are not runs pay no LCE query.  On words of
+blocks of length k, such as (a^k b)^m, the LCE reads are O(n), and the Lyndon
+build still compares O(n·k) symbols, at C speed.  ``runs_bruteforce``
 recomputes the run set from the definition for cross-validation, and
 ``maximal_periodicities`` relaxes the exponent-2 floor, which some insertion
 witnesses fall below.
@@ -17,10 +20,13 @@ witnesses fall below.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+import re
+from typing import TYPE_CHECKING, NamedTuple
 
 from .words import Word, _border
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BRUTE_FORCE_BOUND = 64
 
@@ -36,18 +42,19 @@ class Run(NamedTuple):
 
     @property
     def exponent(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.length, self.period)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.start, self.length, self.period)
 
 
-def _lce(s: str, i: int, j: int, limit: int) -> int:
-    # Length of the longest common prefix of s[i:] and s[j:], at most ``limit``.
-    # Gallop by doubling slices, then halve onto the first mismatch; each probe
-    # compares only symbols past the known match, so a query reads O(result)
-    # symbols at C speed.
-    k = 0
+def _lce(s: str, i: int, j: int, limit: int, k: int = 0) -> int:
+    # Length of the longest common prefix of s[i:] and s[j:], at most ``limit``,
+    # given that the first k symbols match.  Gallop by doubling slices, then
+    # halve onto the first mismatch; each probe compares only symbols past the
+    # known match, so a query reads O(result - k + 1) symbols at C speed.
     step = 1
     while step <= limit - k and s[i + k : i + k + step] == s[j + k : j + k + step]:
         k += step
@@ -84,6 +91,10 @@ def _lyndon_ends(s: str, inverted: bool) -> list[int]:
     return ends
 
 
+# a maximal block of one letter, at least two long: the runs of period 1
+_LETTER_BLOCKS = re.compile(r"(.)\1+", re.DOTALL)
+
+
 def find_maximal_repetitions(w: Word) -> set[Run]:
     """All runs of ``w``, each reported once with its minimal period.
 
@@ -96,37 +107,47 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     reaches length 2p.  A Lyndon word is primitive, so p is the minimal period
     (Fine and Wilf), and the extension is maximal by construction; no filter
     is needed.  A candidate inside the last run found with its period is
-    skipped, since it would extend to that run again.
+    skipped, since it would extend to that run again.  The runs of period 1
+    are the maximal letter blocks of length >= 2, found by one regular
+    expression pass, so no candidate of period 1 is extended.
 
     Cost: building the Lyndon arrays takes one slice comparison of
     min(|u|, |v|) symbols per step.  Each candidate is then pre-tested: the
     extension reaches 2p only if fwd or back reaches h = ⌈p/2⌉, so one or two
-    slice comparisons of h symbols (at most 2⌈p/2⌉ in all) discard most
-    candidates before the two LCE queries, each reading O(result + 1)
-    symbols.  On words of long blocks, such as (a^k b)^m, the Lyndon build,
-    the pre-test and the forward LCE query each read up to k symbols at a
-    position, so the total is O(n·k) symbol comparisons; they run at C speed,
-    but for large enough k and n this family costs more than an O(n log n)
-    method would.
+    slice comparisons of h symbols discard most candidates.  Next, back costs
+    no read unless the symbols before s[i] and s[i+p] match, and a run needs
+    fwd >= p - back, so one symbol at that far end rejects most of the rest
+    before the forward LCE query; each query reads O(result + 1) symbols.  On
+    words of long blocks, such as (a^k b)^m, the LCE reads are O(n) in all;
+    the Lyndon build still copies up to k symbols per step there, so it
+    reads O(n·k) symbols, at C speed.
     """
     s = w.chars
     n = len(s)
     r = s[::-1]
-    runs: set[Run] = set()
+    runs = {Run(m.start(), m.end() - m.start(), 1) for m in _LETTER_BLOCKS.finditer(s)}
     last_end: dict[int, int] = {}  # period -> end of the last run found with it
     for i, pair in enumerate(zip(_lyndon_ends(s, False), _lyndon_ends(s, True))):
         for e in pair:
-            if e >= n:
-                continue
             p = e - i
-            if e <= last_end.get(p, 0):
+            if p == 1 or e >= n or e <= last_end.get(p, 0):
                 continue
             # fwd + back >= p needs fwd >= h or back >= h
             h = (p + 1) // 2
-            if s[i : i + h] != s[e : e + h] and (h > i or s[i - h : i] != s[e - h : e]):
+            if s[i : i + h] == s[e : e + h]:
+                matched = h
+            elif h <= i and s[i - h : i] == s[e - h : e]:
+                matched = 0
+            else:
                 continue
-            fwd = _lce(s, i, e, n - e)
-            back = _lce(r, n - i, n - e, i)
+            back = 0 if i == 0 or s[i - 1] != s[e - 1] else _lce(r, n - i, n - e, i)
+            # a run needs fwd >= need = p - back, so s[i+need-1] == s[e+need-1];
+            # need >= 1, since a candidate with back >= p lies in a run whose
+            # first root came earlier, and it was skipped above
+            need = p - back
+            if e + need > n or s[i + need - 1] != s[e + need - 1]:
+                continue
+            fwd = _lce(s, i, e, n - e, matched)
             if fwd + back >= p:
                 runs.add(Run(i - back, p + fwd + back, p))
                 last_end[p] = e + fwd
@@ -174,6 +195,8 @@ def runs_bruteforce(w: Word, max_length: int = BRUTE_FORCE_BOUND) -> set[Run]:
         raise ValueError(
             f"brute-force run search is limited to length {max_length}, got {len(w.chars)}"
         )
+    from fractions import Fraction
+
     return _maximal_periodicities_brute(w.chars, Fraction(2))
 
 
@@ -185,6 +208,8 @@ def maximal_periodicities(
     Generalizes runs: witnesses of non-robustness can have exponent as low as
     2 - 1/p, below the runs floor, so searches over that regime need this.
     """
+    from fractions import Fraction
+
     floor = Fraction(min_exponent)
     if floor <= 1:
         raise ValueError("min_exponent must be greater than 1")

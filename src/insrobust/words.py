@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -81,12 +80,23 @@ class Alphabet:
         return f"Alphabet({self._symbols!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Word:
-    """An immutable word over a fixed alphabet."""
+    """An immutable word over a fixed alphabet.
+
+    Equal words have equal ``chars`` and alphabets; assigning to or deleting
+    a field raises ``AttributeError``.
+    """
+
+    __slots__ = ("chars", "alphabet")
+    __match_args__ = ("chars", "alphabet")
 
     chars: str
     alphabet: Alphabet
+
+    def __init__(self, chars: str, alphabet: Alphabet) -> None:
+        object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "alphabet", alphabet)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.chars.translate(self.alphabet._delete):
@@ -94,6 +104,25 @@ class Word:
             raise ValueError(
                 f"word uses symbols {sorted(stray)!r} outside alphabet {self.alphabet.symbols!r}"
             )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through __init__, since the frozen __setattr__ refuses the
+        # slot-by-slot state that pickle and copy would otherwise restore
+        return (type(self), (self.chars, self.alphabet))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.chars == other.chars and self.alphabet == other.alphabet
+
+    def __hash__(self) -> int:
+        return hash((self.chars, self.alphabet))
 
     def __len__(self) -> int:
         return len(self.chars)

@@ -335,6 +335,24 @@ class TestRunsCommand:
         code, _, err = run_cli(capsys, "runs", "aabaab", "--format", "csv")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "word, mode, rows",
+        [
+            ("a\n\nb\n\n", [], ["1\t2\t1\t2", "4\t2\t1\t2"]),
+            ("a\n\nb\n\n", ["--unicode"], ["1\t2\t1\t2", "4\t2\t1\t2"]),
+            ("\u00e9\u00e9", [], ["0\t4\t2\t2"]),  # bytes c3 a9 c3 a9
+            ("\u00e9\u00e9", ["--unicode"], ["0\t2\t1\t2"]),
+            ("\U0001f600\U0001f600a", [], ["0\t8\t4\t2"]),
+            ("\U0001f600\U0001f600a", ["--unicode"], ["0\t2\t1\t2"]),
+        ],
+        ids=["newline-bytes", "newline-unicode", "e-acute-bytes", "e-acute-unicode",
+             "astral-bytes", "astral-unicode"],
+    )
+    def test_symbols_beyond_ascii_letters(self, capsys, word, mode, rows):
+        code, out, _ = run_cli(capsys, "runs", word, *mode)
+        assert code == 0
+        assert out.splitlines()[1:] == rows
+
 
 class TestCensusCommand:
     def test_human_fixture(self, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from insrobust import (
+    BRUTE_FORCE_BOUND,
     Alphabet,
     Run,
     Word,
@@ -133,10 +134,11 @@ def _lce_reads(monkeypatch, w: Word):
     reads = []
     real = repetitions_module._lce
 
-    def counted(s, i, j, limit):
-        k = real(s, i, j, limit)
-        reads.append(k)
-        return k
+    def counted(s, i, j, limit, k=0):
+        # only the symbols matched past the known prefix k are read
+        result = real(s, i, j, limit, k)
+        reads.append(result - k)
+        return result
 
     with monkeypatch.context() as patch:
         patch.setattr(repetitions_module, "_lce", counted)
@@ -159,6 +161,77 @@ class TestLceCount:
         }
         assert tuples(runs) == expected
         assert matched <= 10 * n
+
+    def test_long_blocks_read_linear(self, monkeypatch):
+        # at each position of a block a^(k-1-t) b is a root candidate; its far
+        # end rejects it before the forward query would read k-1-t symbols
+        k, m = 500, 8
+        n = k * m
+        runs, matched = _lce_reads(monkeypatch, bw(("a" * (k - 1) + "b") * m))
+        assert tuples(runs) == {(0, n, k)} | {(t * k, k - 1, 1) for t in range(m)}
+        # measured 3,250; extending every candidate forward reads about 219n
+        assert matched <= 10 * n
+
+
+class TestAgainstBruteforce:
+    """Run sets equal ``runs_bruteforce`` where the candidate tests are tight."""
+
+    def test_exhaustive_binary_11_and_12(self):
+        for w in all_words(BINARY, 11, 12):
+            assert find_maximal_repetitions(w) == runs_bruteforce(w), w.chars
+
+    def test_long_block_words(self):
+        words = [("a" * (k - 1) + "b") * m for k in range(2, 33) for m in range(1, 64 // k + 1)]
+        words += ["a" * i + "b" + "a" * j for i in range(31) for j in range(31)]
+        words += [
+            ("a" * i + "b" + "a" * j + "b") * m + "a" * i
+            for i in range(1, 12)
+            for j in range(i, 12)
+            for m in (2, 3)
+            if (i + j + 2) * m + i <= BRUTE_FORCE_BOUND
+        ]
+        rng = random.Random(13)
+        for _ in range(400):
+            symbols = rng.choice(["ab", "abc"])
+            blocks = []
+            while sum(map(len, blocks)) < 48:
+                blocks.append(rng.choice(symbols) * rng.randint(1, 12))
+            words.append("".join(blocks)[:BRUTE_FORCE_BOUND])
+        for chars in words:
+            w = Word(chars, TERNARY)
+            assert find_maximal_repetitions(w) == runs_bruteforce(w), chars
+
+    @pytest.mark.parametrize(
+        "chars, symbols",
+        [
+            ("a", "ab"),
+            ("aa", "ab"),
+            ("a" * 64, "ab"),
+            ("aabaabbb", "ab"),
+            ("bbabaabababaa", "ab"),
+            ("\n\na\n", "\na"),
+            ("a\n\n\nb\n\n", "\nab"),
+            ("\n" * 9, "\n"),
+            ("\U0001f600\U0001f600a\U0001f600\U0001f600\U0001f600", "a\U0001f600"),
+            ("\U0001f600a\U0001f600a\U0001f601\U0001f601", "a\U0001f600\U0001f601"),
+        ],
+    )
+    def test_period_one_edge_cases(self, chars, symbols):
+        w = Word(chars, Alphabet(symbols))
+        assert find_maximal_repetitions(w) == runs_bruteforce(w)
+        blocks = {(i, j - i, 1) for i, j in _letter_blocks(chars)}
+        assert {run for run in tuples(find_maximal_repetitions(w)) if run[2] == 1} == blocks
+
+
+def _letter_blocks(chars: str) -> list[tuple[int, int]]:
+    # (start, end) of each maximal one-letter block of length >= 2
+    found, start = [], 0
+    for i in range(1, len(chars) + 1):
+        if i == len(chars) or chars[i] != chars[start]:
+            if i - start >= 2:
+                found.append((start, i))
+            start = i
+    return found
 
 
 class _CountedSlices(str):
