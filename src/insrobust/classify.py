@@ -7,19 +7,28 @@ rotate(w, i)·c, so w is non-ins-robust exactly when some length-n window of
 ww starting at i ≤ n has a period p that divides n+1 with p ≤ n — the
 inserted letter is then forced and the extended word is a perfect power.
 A window with period p also has every multiple of p as a period, so only the
-maximal periods (n+1)/q, one per prime q of n+1, need a scan to decide: an
-ins-robust word costs ω(n+1) window scans, O(n · ω(n+1)) in all, and a
-fragile one ω(n+1) plus the smaller periods those hits allow, up to the
-first that hits.
+maximal periods (n+1)/q, one per prime q of n+1, need deciding first: an
+ins-robust word costs ω(n+1) decisions, and a fragile one ω(n+1) plus the
+smaller periods those hits allow, up to the first that hits.
 
-The scan is plain stdlib.  Each word is encoded once, at a fixed width
-(latin-1, or utf-32-le when a symbol is above U+00FF), and ww becomes one big
-integer.  A scan XORs it with itself shifted by p symbols and ``bytes.find``
-looks for the first run of n-p zero symbols.  The maximal periods come from
-the cached factorization of n+1; the divisors of n+1 are listed only once a
-maximal period hits.  Each scan holds a few transient buffers of 2n·width
-bytes.  The primitivity check is ``words._root_length``, by rotation
-compares; the oracle keeps ``(s + s).find(s, 1)`` as an independent check.
+A period p is first decided by block compares (``_no_window``): the window
+at i has period p iff its n-p cyclic positions avoid the mismatches
+D = {j : s[j] != s[(j+p) mod n]}, and if each evenly spaced block of at most
+(n-p+1)//2 positions of s differs from the same block of the rotation
+s[p:] + s[:p], every block meets D and no window fits.  When every block
+differs, as on almost every period of a random word, an ins-robust word
+costs O(ω(n+1)) Python steps and O(n · ω(n+1)) symbols of memcmp.  The
+compares hold one rotation copy of n symbols and one block slice at a time.
+
+Only a period the compares leave open is scanned, in plain stdlib.  The
+word is then encoded once, at a fixed width (latin-1, or utf-32-le when a
+symbol is above U+00FF), and ww becomes one big integer.  A scan XORs it
+with itself shifted by p symbols and ``bytes.find`` looks for the first run
+of n-p zero symbols; it holds a few transient buffers of 2n·width bytes.
+The maximal periods come from the cached factorization of n+1; the divisors
+of n+1 are listed only once a maximal period hits.  The primitivity check
+is ``words._root_length``, by rotation compares; the oracle keeps
+``(s + s).find(s, 1)`` as an independent check.
 """
 
 from __future__ import annotations
@@ -135,16 +144,51 @@ def _leftmost_periodic_start(v: tuple[int, int], n: int, p: int) -> int | None:
     return None if j < 0 else j // width
 
 
-def _maximal_hits(v: tuple[int, int], n: int) -> dict[int, int]:
+def _no_window(s: str, p: int) -> bool:
+    """True when block compares prove that no window of ss has period p.
+
+    With D = {j : s[j] != s[(j+p) mod n]}, the window at i has period p iff
+    the n-p cyclic positions from i avoid D.  [0, n) is cut into evenly
+    spaced blocks of at most (n-p+1)//2 positions, so any n-p consecutive
+    cyclic positions cover a whole block.  If every block of s differs from
+    the same block of the rotation s[p:] + s[:p], every block meets D and no
+    window has period p.  False means the compares did not decide.
+    """
+    n = len(s)
+    size = (n - p + 1) // 2
+    if size == 0:
+        return False
+    rot = s[p:] + s[:p]
+    blocks = -(-n // size)
+    start = 0
+    for k in range(1, blocks + 1):
+        end = k * n // blocks
+        if rot.startswith(s[start:end], start):
+            return False
+        start = end
+    return True
+
+
+def _maximal_hits(s: str) -> tuple[dict[int, int], tuple[int, int] | None]:
     """The leftmost start of each maximal period (n+1)/q that hits, q a
-    prime of n+1, keyed by period."""
+    prime of n+1, keyed by period, and ``_encode(s)`` if a scan needed it.
+
+    A period is scanned only when ``_no_window`` cannot rule it out.
+    """
+    n = len(s)
     m = n + 1
     hits = {}
+    v = None
     for q, _ in reversed(_prime_factorization(m)):
-        i = _leftmost_periodic_start(v, n, m // q)
+        p = m // q
+        if _no_window(s, p):
+            continue
+        if v is None:
+            v = _encode(s)
+        i = _leftmost_periodic_start(v, n, p)
         if i is not None:
-            hits[m // q] = i
-    return hits
+            hits[p] = i
+    return hits, v
 
 
 def _first_hit(s: str) -> tuple[int, int] | None:
@@ -153,19 +197,21 @@ def _first_hit(s: str) -> tuple[int, int] | None:
 
     A window with period p has every multiple of p as a period too, so p can
     hit only where every maximal period it divides hits.  The maximal periods
-    are scanned first; then, in ascending order, only the periods they allow.
+    are decided first; then, in ascending order, only the periods they allow.
     """
     n = len(s)
-    v = _encode(s)
-    hits = _maximal_hits(v, n)
+    hits, v = _maximal_hits(s)
     if not hits:
         return None
     maximal = [(n + 1) // q for q, _ in _prime_factorization(n + 1)]
     for p in eligible_periods(n):
         if all(top in hits for top in maximal if top % p == 0):
-            i = hits[p] if p in hits else _leftmost_periodic_start(v, n, p)
-            if i is not None:
-                return p, i
+            if p in hits:
+                return p, hits[p]
+            if not _no_window(s, p):
+                i = _leftmost_periodic_start(v, n, p)
+                if i is not None:
+                    return p, i
     return None
 
 
@@ -318,10 +364,10 @@ def non_ins_robust_decomposition(
 
 def _fast_verdict_chars(s: str) -> Verdict:
     # census hot path: verdict only, no Word/witness construction; some period
-    # hits iff a maximal one does, so the maximal periods are all it scans
+    # hits iff a maximal one does, so the maximal periods are all it decides
     if _root_length(s) < len(s):
         return Verdict.NON_PRIMITIVE
-    hits = _maximal_hits(_encode(s), len(s))
+    hits, _ = _maximal_hits(s)
     return Verdict.NON_INS_ROBUST if hits else Verdict.INS_ROBUST
 
 

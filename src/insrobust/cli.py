@@ -166,20 +166,25 @@ def _cmd_runs(args) -> int:
         # a run's start and length fix its period: this is (start, length) order
         rows = sorted(find_maximal_repetitions(word))
     # length / period is correctly rounded, so it is float(run.exponent);
-    # the lines are generated lazily so no copy of the output is held
+    # the lines are generated lazily so no copy of the output is held, and
+    # each line's tail is formatted once per (length, period)
     if args.format == "jsonl":
-        lines = (
-            f'{{"start":{run.start},"length":{run.length},"period":{run.period},'
-            f'"exponent":{run.length / run.period!r}}}\n'
-            for run in rows
-        )
+        head, sep = '{"start":', ","
+        tail = '"length":{0},"period":{1},"exponent":{2!r}}}\n'.format
     else:
         sys.stdout.write("start\tlength\tperiod\texponent\n")
-        lines = (
-            f"{run.start}\t{run.length}\t{run.period}\t{run.length / run.period:g}\n"
-            for run in rows
-        )
-    sys.stdout.writelines(lines)
+        head, sep = "", "\t"
+        tail = "{0}\t{1}\t{2:g}\n".format
+    tails = {}
+
+    def lines():
+        for start, length, period in rows:
+            end = tails.get((length, period))
+            if end is None:
+                end = tails[length, period] = tail(length, period, length / period)
+            yield f"{head}{start}{sep}{end}"
+
+    sys.stdout.writelines(lines())
     return EXIT_OK
 
 

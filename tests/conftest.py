@@ -1,11 +1,12 @@
 import math
+import random
 import statistics
 from itertools import product
 from typing import Iterator
 
 from hypothesis import HealthCheck, settings
 
-from insrobust import Alphabet, Word
+from insrobust import Alphabet, Word, is_primitive
 
 settings.register_profile(
     "insrobust",
@@ -17,6 +18,7 @@ settings.load_profile("insrobust")
 
 BINARY = Alphabet("ab")
 TERNARY = Alphabet("abc")
+CODEPOINTS = Alphabet("\u0100\u0101\u0102")  # equal but for the low byte of utf-32
 
 
 def all_words(alphabet: Alphabet, min_len: int, max_len: int) -> Iterator[Word]:
@@ -41,3 +43,23 @@ def loglog_slope(points: list[tuple[int, float]]) -> float:
     numerator = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     denominator = sum((x - mean_x) ** 2 for x in xs)
     return numerator / denominator
+
+
+def fragile_word(n: int, alphabet: Alphabet, period: int, rng: random.Random) -> Word:
+    """u^m with |u| = period and one letter deleted, then rotated and/or reversed.
+
+    Re-inserting the deleted letter gives a rotation of u^m, so a primitive
+    result is non-ins-robust; the draw is repeated until it is primitive.
+    """
+    while True:
+        u = "".join(rng.choices(alphabet.symbols, k=period))
+        full = u * ((n + 1) // period)
+        cut = rng.randrange(n + 1)
+        chars = full[:cut] + full[cut + 1 :]
+        shift = rng.randrange(n)
+        chars = chars[shift:] + chars[:shift]
+        if rng.random() < 0.5:
+            chars = chars[::-1]
+        w = Word(chars, alphabet)
+        if is_primitive(w):
+            return w

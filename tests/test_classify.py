@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from conftest import BINARY, TERNARY, all_strings, all_words
+from conftest import BINARY, CODEPOINTS, TERNARY, all_strings, all_words, fragile_word
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -316,29 +316,6 @@ class TestPaddingFailureShape:
                 assert sum(1 for ch in u if ch != "a") == 1, w.chars
 
 
-CODEPOINTS = Alphabet("\u0100\u0101\u0102")  # equal but for the low byte of utf-32
-
-
-def _fragile_word(n: int, alphabet: Alphabet, period: int, rng: random.Random) -> Word:
-    """u^m with |u| = period and one letter deleted, then rotated and/or reversed.
-
-    Re-inserting the deleted letter gives a rotation of u^m, so a primitive
-    result is non-ins-robust; the draw is repeated until it is primitive.
-    """
-    while True:
-        u = "".join(rng.choices(alphabet.symbols, k=period))
-        full = u * ((n + 1) // period)
-        cut = rng.randrange(n + 1)
-        chars = full[:cut] + full[cut + 1 :]
-        shift = rng.randrange(n)
-        chars = chars[shift:] + chars[:shift]
-        if rng.random() < 0.5:
-            chars = chars[::-1]
-        w = Word(chars, alphabet)
-        if is_primitive(w):
-            return w
-
-
 def _spread_periods(n: int) -> list[int]:
     # the smallest, a middle and the largest eligible period of at least 2
     periods = [p for p in eligible_periods(n) if 2 <= p <= (n + 1) // 2]
@@ -377,7 +354,7 @@ class TestFragileAtScale:
     def test_built_fragile_words(self, n, alphabet):
         rng = random.Random(n)
         for period in _spread_periods(n):
-            _assert_fast_matches_oracle(_fragile_word(n, alphabet, period, rng), fragile=True)
+            _assert_fast_matches_oracle(fragile_word(n, alphabet, period, rng), fragile=True)
 
     @pytest.mark.parametrize("alphabet", [BINARY, TERNARY, CODEPOINTS], ids=repr)
     @pytest.mark.parametrize("n", (4095, 4097))  # n+1 = 2^12 and 2 3 683
@@ -385,7 +362,7 @@ class TestFragileAtScale:
         # one middle period each: the oracle costs ~0.4 s a word here
         rng = random.Random(n)
         periods = _spread_periods(n)
-        w = _fragile_word(n, alphabet, periods[len(periods) // 2], rng)
+        w = fragile_word(n, alphabet, periods[len(periods) // 2], rng)
         _assert_fast_matches_oracle(w, fragile=True)
 
     def test_codepoint_window_off_the_symbol_grid(self):
@@ -462,10 +439,10 @@ class TestHitGuidedScan:
         # periods 240 and 360, and the first maximal period to hit is not p
         rng = random.Random(719)
         for period in [p for p in eligible_periods(719) if 2 <= p <= 360]:
-            w = _fragile_word(719, alphabet, period, rng)
+            w = fragile_word(719, alphabet, period, rng)
             hit, periods, _ = _hit_and_plan(w.chars)
             assert hit == _full_scan(w.chars, periods), (period, w.chars)
-        w = _fragile_word(719, alphabet, 120, rng)
+        w = fragile_word(719, alphabet, 120, rng)
         hit, _, maximal = _hit_and_plan(w.chars)
         assert hit[0] == 120
         assert [q for q in maximal if q % 120 == 0] == [240, 360]
@@ -473,36 +450,49 @@ class TestHitGuidedScan:
     def test_matches_full_scan_at_a_hard_length(self):
         # n+1 = 720720 = 2^4 3^2 5 7 11 13 and p = 120120 = (n+1)/6, so the
         # maximal periods 240240 and 360360 must both hit before p is scanned
-        w = _fragile_word(720_719, BINARY, 120_120, random.Random(6))
+        w = fragile_word(720_719, BINARY, 120_120, random.Random(6))
         hit, periods, maximal = _hit_and_plan(w.chars)
         assert hit == _full_scan(w.chars, periods)
         assert hit[0] == 120_120 and hit[0] not in maximal
 
 
 def _count_scans(monkeypatch, w: Word):
-    scanned = []
-    real = classify_module._leftmost_periodic_start
+    """classify_fast(w), the periods scanned, and (period, decided) for each
+    block-compare certificate tried."""
+    scanned, certified = [], []
+    real_scan = classify_module._leftmost_periodic_start
+    real_certificate = classify_module._no_window
 
-    def counted(b, n, p):
+    def counted_scan(b, n, p):
         scanned.append(p)
-        return real(b, n, p)
+        return real_scan(b, n, p)
+
+    def counted_certificate(s, p):
+        decided = real_certificate(s, p)
+        certified.append((p, decided))
+        return decided
 
     with monkeypatch.context() as patch:
-        patch.setattr(classify_module, "_leftmost_periodic_start", counted)
+        patch.setattr(classify_module, "_leftmost_periodic_start", counted_scan)
+        patch.setattr(classify_module, "_no_window", counted_certificate)
         result = classify_fast(w)
-    return result, scanned
+    return result, scanned, certified
 
 
 class TestScanCount:
-    """Window scans per word follow ω(n+1), the number of primes of n+1."""
+    """Work per word follows ω(n+1), the number of primes of n+1."""
 
     @pytest.mark.parametrize("n, omega", [(720_719, 6), (1_000_000, 2)])
     def test_robust_word_costs_omega_scans(self, monkeypatch, n, omega):
+        # block compares rule out every maximal period of a random word, so
+        # it costs ω(n+1) certificates and no window scan
         rng = random.Random(n)
         w = bw("".join(rng.choices("ab", k=n)))
-        result, scanned = _count_scans(monkeypatch, w)
+        result, scanned, certified = _count_scans(monkeypatch, w)
         assert result.verdict is Verdict.INS_ROBUST
-        assert len(scanned) == omega
+        assert scanned == []
+        assert sorted(certified) == [(p, True) for p in _maximal_periods(n)]
+        assert len(certified) == omega
 
     def test_fragile_word_at_a_hard_length(self, monkeypatch):
         # u^11 with one letter deleted: n+1 = 997920 = 2^5 3^4 5 7 11, |u| = 90720
@@ -511,9 +501,12 @@ class TestScanCount:
         full = "".join(rng.choices("ab", k=period)) * 11
         cut = rng.randrange(n + 1)
         w = bw(full[:cut] + full[cut + 1 :])
-        result, scanned = _count_scans(monkeypatch, w)
+        result, scanned, certified = _count_scans(monkeypatch, w)
         assert result.verdict is Verdict.NON_INS_ROBUST
-        assert len(scanned) <= 6
+        # only the period built in is scanned: block compares rule out the
+        # other maximal periods, and no smaller period is allowed
+        assert scanned == [period]
+        assert sorted(certified) == [(p, p != period) for p in _maximal_periods(n)]
         (wit,) = result.witnesses
         assert len(wit.root) == period
         assert insert(w, wit.position, wit.letter).chars == wit.root.chars * wit.power
