@@ -9,7 +9,7 @@ random words).
 Words are read as UTF-8 text but classified at the byte level by default, so
 the hot path never re-encodes; ``--unicode`` switches to codepoint symbols.
 Exit codes: 0 success, 1 audit failure, 2 usage or input error, 3 budget
-exceeded.
+exceeded, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -17,14 +17,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
+from itertools import chain
 
 from .classify import Verdict, classify_fast, classify_oracle
 from .counting import (
     DEFAULT_CENSUS_BUDGET,
     BudgetExceededError,
+    CensusReport,
+    CountReport,
     OracleMismatchError,
     census,
     count_primitive,
@@ -37,6 +41,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout, as `| head` does
 
 # one encoder for every JSON line; json.dumps with separators builds a new one per call
 _JSON = json.JSONEncoder(separators=(",", ":"))
@@ -44,6 +49,27 @@ _JSON = json.JSONEncoder(separators=(",", ":"))
 
 class CliError(Exception):
     """Usage or input problem; reported on stderr with exit code 2."""
+
+
+def _emit(fmt: str, records, human, columns=()) -> None:
+    """Write ``records`` (dicts) to stdout as ``fmt``, each line as it is made.
+
+    ``jsonl`` is one compact JSON object per record, ``human`` the lines of
+    ``human(record)``, ``csv`` a header of ``columns`` and then each record's
+    values of them, blank where it lacks one (all are integers, so nothing
+    is quoted).  The csv rows are all formatted before the header is written.
+    """
+    # nothing may hold a written line while the next record is made, which
+    # can be the peak of the call: so one generator stage for jsonl (a second
+    # stage would bind the last line), and only C iterators for human
+    if fmt == "jsonl":
+        lines = (_JSON.encode(record) + "\n" for record in records)
+    elif fmt == "csv":
+        rows = [",".join([str(record.get(name, "")) for name in columns]) for record in records]
+        lines = (row + "\n" for row in [",".join(columns), *rows])
+    else:
+        lines = map("{}\n".format, chain.from_iterable(map(human, records)))
+    sys.stdout.writelines(lines)
 
 
 def _symbols_of(text: str, unicode_mode: bool) -> str:
@@ -108,23 +134,21 @@ def _classification_record(text: str, result) -> dict:
     return record
 
 
-def _classification_json(text: str, result) -> str:
-    return _JSON.encode(_classification_record(text, result))
-
-
-def _classification_line(text: str, result) -> str:
-    if result.verdict is Verdict.NON_PRIMITIVE:
-        return f"{text}\tnon-primitive\t{result.root.chars}^{result.exponent}"
-    if result.verdict is Verdict.INS_ROBUST:
-        return f"{text}\tins-robust"
-    wit = result.witnesses[0]
+def _classification_lines(record: dict) -> list[str]:
+    text, verdict = record["word"], record["verdict"]
+    if verdict == "non-primitive":
+        return [f"{text}\t{verdict}\t{record['root']}^{record['exponent']}"]
+    if verdict == "ins-robust":
+        return [f"{text}\t{verdict}"]
+    witnesses = record["witnesses"]
+    wit = witnesses[0]
     line = (
-        f"{text}\tnon-ins-robust\t"
-        f"insert {wit.letter} at {wit.position} -> {wit.root.chars}^{wit.power}"
+        f"{text}\t{verdict}\t"
+        f"insert {wit['letter']} at {wit['position']} -> {wit['root']}^{wit['power']}"
     )
-    if len(result.witnesses) > 1:
-        line += f"\t(+{len(result.witnesses) - 1} more)"
-    return line
+    if len(witnesses) > 1:
+        line += f"\t(+{len(witnesses) - 1} more)"
+    return [line]
 
 
 def _cmd_classify(args) -> int:
@@ -148,11 +172,10 @@ def _cmd_classify(args) -> int:
         if len(alphabet) < 2:
             raise CliError("alphabet must contain at least two symbols")
         classifier = classify_oracle if args.oracle else classify_fast
-        render = _classification_json if args.format == "jsonl" else _classification_line
-        # lines are generated lazily, so no copy of the batch's output is held
-        sys.stdout.writelines(
-            render(text, classifier(Word(text, alphabet))) + "\n" for text in texts
+        records = (
+            _classification_record(text, classifier(Word(text, alphabet))) for text in texts
         )
+        _emit(args.format, records, _classification_lines)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return EXIT_OK
@@ -165,6 +188,9 @@ def _cmd_runs(args) -> int:
         word = Word(text, Alphabet("".join(sorted(set(text)))))
         # a run's start and length fix its period: this is (start, length) order
         rows = sorted(find_maximal_repetitions(word))
+    # runs keeps its own line writer rather than _emit: a dict per run
+    # encoded by _JSON took 0.21 s against 0.034 s for these cached tails on
+    # the 10^5-symbol Fibonacci prefix (76,387 runs).
     # length / period is correctly rounded, so it is float(run.exponent);
     # the lines are generated lazily so no copy of the output is held, and
     # each line's tail is formatted once per (length, period)
@@ -188,7 +214,15 @@ def _cmd_runs(args) -> int:
     return EXIT_OK
 
 
-_VERDICT_ORDER = (Verdict.NON_PRIMITIVE, Verdict.INS_ROBUST, Verdict.NON_INS_ROBUST)
+def _census_lines(record: dict):
+    # a generator, so --list streams its words; tally fields are named as the verdicts
+    tallies = {verdict.value: record[verdict.name.lower()] for verdict in Verdict}
+    yield f"census n={record['n']} k={record['k']} total={sum(tallies.values())}"
+    for verdict, tally in tallies.items():
+        yield f"{verdict}\t{tally}"
+    for verdict, entries in record.get("words", {}).items():
+        for entry in entries:
+            yield f"list\t{verdict}\t{entry}"
 
 
 def _cmd_census(args) -> int:
@@ -204,47 +238,29 @@ def _cmd_census(args) -> int:
 
     alphabet = Alphabet(ascii_lowercase[: args.k])
     report = census(
-        args.n,
-        alphabet,
-        list_words=args.list,
-        budget=args.budget,
-        audit_oracle=args.oracle,
+        args.n, alphabet, list_words=args.list, budget=args.budget, audit_oracle=args.oracle
     )
-    tallies = {
-        Verdict.NON_PRIMITIVE: report.non_primitive,
-        Verdict.INS_ROBUST: report.ins_robust,
-        Verdict.NON_INS_ROBUST: report.non_ins_robust,
-    }
-    if args.format == "jsonl":
-        record: dict = {
-            "n": report.n,
-            "k": report.k,
-            "non_primitive": report.non_primitive,
-            "ins_robust": report.ins_robust,
-            "non_ins_robust": report.non_ins_robust,
-        }
-        if report.words is not None:
-            record["words"] = {
-                verdict.value: list(report.words[verdict]) for verdict in _VERDICT_ORDER
-            }
-        print(_JSON.encode(record))
-    elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "k", "non_primitive", "ins_robust", "non_ins_robust"])
-        writer.writerow(
-            [report.n, report.k, report.non_primitive, report.ins_robust, report.non_ins_robust]
-        )
-    else:
-        print(f"census n={report.n} k={report.k} total={report.total}")
-        for verdict in _VERDICT_ORDER:
-            print(f"{verdict.value}\t{tallies[verdict]}")
-        if report.words is not None:
-            for verdict in _VERDICT_ORDER:
-                for entry in report.words[verdict]:
-                    print(f"list\t{verdict.value}\t{entry}")
+    record = report._asdict()
+    if record.pop("words") is not None:
+        record["words"] = {verdict.value: report.words[verdict] for verdict in Verdict}
+    columns = [name for name in CensusReport._fields if name != "words"]
+    _emit(args.format, [record], _census_lines, columns)
     return EXIT_OK
+
+
+def _count_lines(record: dict) -> list[str]:
+    # a list, so every value is formatted before the first line is written
+    lines = [f"count n={record['n']} k={record['k']}"]
+    lines += [
+        f"{name.replace('_', '-')}\t{record[name]}"
+        for name in CountReport._fields[2:]
+        if name in record
+    ]
+    if "note" in record:
+        lines.append(f"note: {record['note']}")
+    elif record["vacuous"]:
+        lines[-1] += " (vacuous)"
+    return lines
 
 
 def _cmd_count(args) -> int:
@@ -253,54 +269,22 @@ def _cmd_count(args) -> int:
         raise CliError("count requires a word length n >= 1")
     if k < 1:
         raise CliError("count requires an alphabet size k >= 1")
-    total = k**n
-    primitive = count_primitive(n, k)
-    bounds = count_report(n, k) if n >= 2 and k >= 2 else None
-    note = "bounds require n >= 2 and k >= 2"
-    # every field is formatted before anything is written, so a value past
+    if n >= 2 and k >= 2:
+        report = count_report(n, k)
+        record = {**report._asdict(), "vacuous": report.vacuous}
+    else:
+        total, primitive = k**n, count_primitive(n, k)
+        record = dict(zip(CountReport._fields, (n, k, total, primitive, total - primitive)))
+        record["note"] = "bounds require n >= 2 and k >= 2"
+    # _emit formats the one record in full before it writes, so a value past
     # Python's int-to-str digit limit leaves stdout empty
     try:
-        if args.format == "jsonl":
-            record: dict = {
-                "n": n,
-                "k": k,
-                "total": total,
-                "primitive": primitive,
-                "non_primitive": total - primitive,
-            }
-            if bounds is not None:
-                record["non_ins_robust_upper"] = bounds.non_ins_robust_upper
-                record["ins_robust_lower"] = bounds.ins_robust_lower
-                record["vacuous"] = bounds.vacuous
-            else:
-                record["note"] = note
-            lines = [_JSON.encode(record)]
-        elif args.format == "csv":
-            upper = bounds.non_ins_robust_upper if bounds is not None else ""
-            lower = bounds.ins_robust_lower if bounds is not None else ""
-            lines = [
-                "n,k,total,primitive,non_primitive,non_ins_robust_upper,ins_robust_lower",
-                f"{n},{k},{total},{primitive},{total - primitive},{upper},{lower}",
-            ]
-        else:
-            lines = [
-                f"count n={n} k={k}",
-                f"total\t{total}",
-                f"primitive\t{primitive}",
-                f"non-primitive\t{total - primitive}",
-            ]
-            if bounds is not None:
-                suffix = " (vacuous)" if bounds.vacuous else ""
-                lines.append(f"non-ins-robust-upper\t{bounds.non_ins_robust_upper}")
-                lines.append(f"ins-robust-lower\t{bounds.ins_robust_lower}{suffix}")
-            else:
-                lines.append(f"note: {note}")
+        _emit(args.format, [record], _count_lines, CountReport._fields)
     except ValueError:
         raise CliError(
             f"count n={n} k={k} has values longer than Python's limit of"
             f" {sys.get_int_max_str_digits()} digits for integer output"
         ) from None
-    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -464,7 +448,13 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # later writes, and the flush at exit, go to devnull, so no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

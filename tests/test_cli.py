@@ -565,3 +565,114 @@ class TestParserBehavior:
         )
         assert proc.returncode == 0
         assert "primitive\t54" in proc.stdout
+
+
+class TestRecordWriter:
+    """Whole-stdout pins of the one record writer, ``cli._emit``."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["census", "3", "2", "--list"],
+                "census n=3 k=2 total=8\nnon-primitive\t2\nins-robust\t0\nnon-ins-robust\t6\n"
+                "list\tnon-primitive\taaa\nlist\tnon-primitive\tbbb\n"
+                "list\tnon-ins-robust\taab\nlist\tnon-ins-robust\taba\n"
+                "list\tnon-ins-robust\tabb\nlist\tnon-ins-robust\tbaa\n"
+                "list\tnon-ins-robust\tbab\nlist\tnon-ins-robust\tbba\n",
+            ),
+            (
+                ["census", "3", "2", "--list", "--format", "jsonl"],
+                '{"n":3,"k":2,"non_primitive":2,"ins_robust":0,"non_ins_robust":6,'
+                '"words":{"non-primitive":["aaa","bbb"],"ins-robust":[],'
+                '"non-ins-robust":["aab","aba","abb","baa","bab","bba"]}}\n',
+            ),
+            (
+                ["census", "4", "2", "--format", "csv"],
+                "n,k,non_primitive,ins_robust,non_ins_robust\n4,2,4,12,0\n",
+            ),
+            (
+                ["count", "1", "2"],
+                "count n=1 k=2\ntotal\t2\nprimitive\t2\nnon-primitive\t0\n"
+                "note: bounds require n >= 2 and k >= 2\n",
+            ),
+            (
+                ["count", "1", "2", "--format", "jsonl"],
+                '{"n":1,"k":2,"total":2,"primitive":2,"non_primitive":0,'
+                '"note":"bounds require n >= 2 and k >= 2"}\n',
+            ),
+            (
+                ["count", "1", "2", "--format", "csv"],
+                "n,k,total,primitive,non_primitive,non_ins_robust_upper,ins_robust_lower\n"
+                "1,2,2,2,0,,\n",
+            ),
+            (
+                ["count", "3", "2"],
+                "count n=3 k=2\ntotal\t8\nprimitive\t6\nnon-primitive\t2\n"
+                "non-ins-robust-upper\t8\nins-robust-lower\t-2 (vacuous)\n",
+            ),
+            (
+                ["count", "3", "2", "--format", "jsonl"],
+                '{"n":3,"k":2,"total":8,"primitive":6,"non_primitive":2,'
+                '"non_ins_robust_upper":8,"ins_robust_lower":-2,"vacuous":true}\n',
+            ),
+            (
+                ["count", "3", "2", "--format", "csv"],
+                "n,k,total,primitive,non_primitive,non_ins_robust_upper,ins_robust_lower\n"
+                "3,2,8,6,2,8,-2\n",
+            ),
+            (
+                ["count", "6", "2"],
+                "count n=6 k=2\ntotal\t64\nprimitive\t54\nnon-primitive\t10\n"
+                "non-ins-robust-upper\t0\nins-robust-lower\t54\n",
+            ),
+            (
+                ["count", "6", "2", "--format", "jsonl"],
+                '{"n":6,"k":2,"total":64,"primitive":54,"non_primitive":10,'
+                '"non_ins_robust_upper":0,"ins_robust_lower":54,"vacuous":false}\n',
+            ),
+            (
+                ["count", "6", "2", "--format", "csv"],
+                "n,k,total,primitive,non_primitive,non_ins_robust_upper,ins_robust_lower\n"
+                "6,2,64,54,10,0,54\n",
+            ),
+            (
+                ["classify", "aabaa", "--oracle"],
+                "aabaa\tnon-ins-robust\tinsert b at 0 -> baa^2\t(+1 more)\n",
+            ),
+        ],
+    )
+    def test_whole_stdout(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["human", "jsonl"])
+    def test_classify_writes_each_line_before_the_next_word(self, monkeypatch, fmt):
+        from insrobust import cli
+
+        out = io.StringIO()
+        written = []
+        classify = cli.classify_fast
+
+        def counting_classify(word):
+            written.append(out.getvalue().count("\n"))
+            return classify(word)
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(cli, "classify_fast", counting_classify)
+        words = ["aab", "abba", "abab", "aabaa", "abcab"]
+        assert main(["classify", *words, "--format", fmt]) == 0
+        assert written == list(range(len(words)))
+        assert out.getvalue().count("\n") == len(words)
+
+    def test_closed_pipe_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "insrobust", "census", "16", "2", "--list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "census n=16 k=2 total=65536\n"
+        proc.stdout.close()  # about 1.3 MB is left unread, far past a pipe's buffer
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err
