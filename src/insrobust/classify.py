@@ -6,29 +6,25 @@ rotation argument: inserting c at position i and rotating by i+1 yields
 rotate(w, i)·c, so w is non-ins-robust exactly when some length-n window of
 ww starting at i ≤ n has a period p that divides n+1 with p ≤ n — the
 inserted letter is then forced and the extended word is a perfect power.
-A window with period p also has every multiple of p as a period, so only the
-maximal periods (n+1)/q, one per prime q of n+1, need deciding first: an
-ins-robust word costs ω(n+1) decisions, and a fragile one ω(n+1) plus the
-smaller periods those hits allow, up to the first that hits.
+Such a p divides some maximal period (n+1)/q, q a prime of n+1, and the
+window has that period too, so only the ω(n+1) maximal periods are decided;
+the smallest p follows from the root length of one window per maximal period
+that hits (``_first_hit``).  No divisor of n+1 is listed.
 
-A period p is first decided by block compares (``_no_window``): the window
-at i has period p iff its n-p cyclic positions avoid the mismatches
-D = {j : s[j] != s[(j+p) mod n]}, and if each evenly spaced block of at most
-(n-p+1)//2 positions of s differs from the same block of the rotation
-s[p:] + s[:p], every block meets D and no window fits.  When every block
-differs, as on almost every period of a random word, an ins-robust word
-costs O(ω(n+1)) Python steps and O(n · ω(n+1)) symbols of memcmp.  The
-compares hold one rotation copy of n symbols and one block slice at a time.
-
-Only a period the compares leave open is scanned, in plain stdlib.  The
-word is then encoded once, at a fixed width (latin-1, or utf-32-le when a
-symbol is above U+00FF), and ww becomes one big integer.  A scan XORs it
-with itself shifted by p symbols and ``bytes.find`` looks for the first run
-of n-p zero symbols; it holds a few transient buffers of 2n·width bytes.
-The maximal periods come from the cached factorization of n+1; the divisors
-of n+1 are listed only once a maximal period hits.  The primitivity check
-is ``words._root_length``, by rotation compares; the oracle keeps
-``(s + s).find(s, 1)`` as an independent check.
+A period p is decided by its mismatches D = {j : s[j] != s[(j+p) mod n]}:
+the window at i has period p iff its n-p cyclic positions lie in one gap of
+D, and at most one gap is that long (``_leftmost_periodic_start``).  Evenly
+spaced blocks of at most (n-p+1)//2 positions of s are compared with the
+same blocks of the rotation s[p:] + s[:p]; that gap would hold a whole block,
+so if every block differs no window fits.  That decides almost every period
+of a random word.  A block that agrees is extended to the gap holding it by
+galloping slice compares on s + s + s[:p], where the symbol p past j is the
+rotation's symbol at j.  A word costs O(n · ω(n+1)) symbols of memcmp,
+fragile or not, and O(ω(n+1)) Python steps when every block differs.  A
+decision holds one rotation copy of n symbols and one block slice, plus
+s + s + s[:p] (2n + p symbols) only once a block agrees.  The
+primitivity check is ``words._root_length``, by rotation compares; the
+oracle keeps ``(s + s).find(s, 1)`` as an independent check.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .repetitions import find_maximal_repetitions
+from .repetitions import _lce, find_maximal_repetitions
 from .words import Word, _prime_factorization, _root_length, insert, primitive_root
 
 
@@ -112,107 +108,99 @@ def eligible_periods(n: int) -> tuple[int, ...]:
     return tuple(sorted(d for d in divisors if d <= n))
 
 
-def _encode(s: str) -> tuple[int, int]:
-    """ww as one little-endian integer, and its bytes per symbol."""
-    try:
-        e, width = s.encode("latin-1"), 1
-    except UnicodeEncodeError:
-        e, width = s.encode("utf-32-le", "surrogatepass"), 4
-    x = int.from_bytes(e, "little")
-    return x | x << (8 * len(e)), width
+def _lce_back(t: str, i: int, j: int, limit: int, k: int = 0) -> int:
+    # ``repetitions._lce`` run backward: how many symbols t[:i] and t[:j]
+    # share as a suffix, at most ``limit``, given that the last k do.
+    step = 1
+    while step <= limit - k and t[i - k - step : i - k] == t[j - k - step : j - k]:
+        k += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if step <= limit - k and t[i - k - step : i - k] == t[j - k - step : j - k]:
+            k += step
+    return k
 
 
-def _leftmost_periodic_start(v: tuple[int, int], n: int, p: int) -> int | None:
-    """Smallest i in [0, n] whose length-n window of ww has period p, else None.
+def _leftmost_periodic_start(s: str, n: int, p: int) -> int | None:
+    """Smallest i in [0, n] whose length-n window of ss has period p, else None.
 
-    ``v`` is ``_encode(w)``.  The window at i has period p iff ww[t] ==
-    ww[t+p] for every t in [i, i+n-p-1]: a run of n-p zero symbols in ww XOR
-    (ww shifted by p), ending by symbol 2n-p, where the shifted copy runs
-    out.  A zero run at an offset off the symbol grid is searched again from
-    the next symbol.  Transient memory: a few buffers of 2n·width bytes.
+    ``n`` is ``len(s)`` and p an eligible period.  With D = {j : s[j] !=
+    s[(j+p) mod n]}, the window at i has period p iff its n-p cyclic
+    positions from i avoid D, that is, lie in one gap of D.  As p <= (n+1)/2,
+    two gaps of n-p positions would leave no room for the two mismatches
+    between them, so at most one gap is long enough.  [0, n) is cut into
+    evenly spaced blocks of at most (n-p+1)//2 positions, so that gap holds a
+    whole block; a block of s that differs from the same block of the rotation
+    s[p:] + s[:p] meets D.  A block that agrees is extended forward to the
+    end of its gap; one compare of the symbols before it tells whether the
+    gap is long enough, and only then is it extended back to its start.  A
+    short gap is skipped with the blocks it holds.  Memory: one rotation
+    copy, plus s + s + s[:p] once a block agrees.
     """
     need = n - p
     if need <= 0:
         return 0
-    x, width = v
-    diff = (x ^ (x >> (8 * width * p))).to_bytes(2 * n * width, "little")
-    zeros = bytes(need * width)
-    end = (2 * n - p) * width
-    j = diff.find(zeros, 0, end)
-    while j > 0 and j % width:
-        j = diff.find(zeros, j - j % width + width, end)
-    return None if j < 0 else j // width
-
-
-def _no_window(s: str, p: int) -> bool:
-    """True when block compares prove that no window of ss has period p.
-
-    With D = {j : s[j] != s[(j+p) mod n]}, the window at i has period p iff
-    the n-p cyclic positions from i avoid D.  [0, n) is cut into evenly
-    spaced blocks of at most (n-p+1)//2 positions, so any n-p consecutive
-    cyclic positions cover a whole block.  If every block of s differs from
-    the same block of the rotation s[p:] + s[:p], every block meets D and no
-    window has period p.  False means the compares did not decide.
-    """
-    n = len(s)
-    size = (n - p + 1) // 2
-    if size == 0:
-        return False
     rot = s[p:] + s[:p]
-    blocks = -(-n // size)
-    start = 0
-    for k in range(1, blocks + 1):
-        end = k * n // blocks
-        if rot.startswith(s[start:end], start):
-            return False
-        start = end
-    return True
+    blocks = -(-n // ((need + 1) // 2))
+    t = ""  # s + s + s[:p], once a block agrees: t[j + p] is rot[j mod n]
+    k = 0
+    while k < blocks:
+        start, end = k * n // blocks, (k + 1) * n // blocks
+        k += 1
+        if not rot.startswith(s[start:end], start):
+            continue
+        if not t:
+            t = s + s + s[:p]
+        room = n - (end - start)
+        fwd = _lce(t, end, end + p, room)
+        if fwd == room:  # D is empty: every window fits
+            return 0
+        # a window fits iff the gap also holds the `lack` symbols before start
+        lack = need - (end - start) - fwd
+        mid = start + n
+        if lack <= 0 or t[mid - lack : mid] == t[mid - lack + p : mid + p]:
+            first = start - _lce_back(t, mid, mid + p, room - fwd, max(lack, 0))
+            last = end + fwd - need
+            # the windows start at first..last, read mod n; i = n is i = 0
+            i = first % n
+            return 0 if i + last - first >= n else i
+        # the gap ends at the mismatch end + fwd: go on past its block
+        k = -(-(end + fwd + 1) * blocks // n)
+    return None
 
 
-def _maximal_hits(s: str) -> tuple[dict[int, int], tuple[int, int] | None]:
-    """The leftmost start of each maximal period (n+1)/q that hits, q a
-    prime of n+1, keyed by period, and ``_encode(s)`` if a scan needed it.
-
-    A period is scanned only when ``_no_window`` cannot rule it out.
-    """
+def _maximal_hits(s: str) -> Iterator[tuple[int, int]]:
+    """Each maximal period (n+1)/q, q a prime of n+1, that some window of ss
+    has, with its leftmost start, largest period first."""
     n = len(s)
     m = n + 1
-    hits = {}
-    v = None
     for q, _ in reversed(_prime_factorization(m)):
         p = m // q
-        if _no_window(s, p):
-            continue
-        if v is None:
-            v = _encode(s)
-        i = _leftmost_periodic_start(v, n, p)
+        i = _leftmost_periodic_start(s, n, p)
         if i is not None:
-            hits[p] = i
-    return hits, v
+            yield p, i
 
 
 def _first_hit(s: str) -> tuple[int, int] | None:
-    """The smallest eligible period p whose window of ss at some i has period
-    p, with the leftmost such i.
+    """The smallest eligible period p that some window of ss has, with the
+    leftmost such window, or None.
 
-    A window with period p has every multiple of p as a period too, so p can
-    hit only where every maximal period it divides hits.  The maximal periods
-    are decided first; then, in ascending order, only the periods they allow.
+    A window of period p has period P for each maximal P that p divides; it
+    has n >= 2P-1 symbols, so it has period p exactly when its first P
+    symbols u do, that is, when the root length of u divides p.  Along the
+    gap of one maximal period u runs through conjugates, which share a root
+    length, so the answer is the least (root length of u, start) over the
+    maximal periods that hit.
     """
     n = len(s)
-    hits, v = _maximal_hits(s)
-    if not hits:
-        return None
-    maximal = [(n + 1) // q for q, _ in _prime_factorization(n + 1)]
-    for p in eligible_periods(n):
-        if all(top in hits for top in maximal if top % p == 0):
-            if p in hits:
-                return p, hits[p]
-            if not _no_window(s, p):
-                i = _leftmost_periodic_start(v, n, p)
-                if i is not None:
-                    return p, i
-    return None
+    return min(
+        (
+            (_root_length(s[i : i + p] if i + p <= n else s[i:] + s[: i + p - n]), i)
+            for p, i in _maximal_hits(s)
+        ),
+        default=None,
+    )
 
 
 def classify_fast(w: Word) -> Classification:
@@ -236,7 +224,7 @@ def classify_fast(w: Word) -> Classification:
     root, power = primitive_root(insert(w, start, letter))
     if power < 2:
         raise RuntimeError(
-            f"window scan produced a primitive extension for {s!r} (p={p}, i={start})"
+            f"period decision produced a primitive extension for {s!r} (p={p}, i={start})"
         )
     return Classification.non_ins_robust(
         (InsertionWitness(position=start, letter=letter, root=root, power=power),)
@@ -367,8 +355,8 @@ def _fast_verdict_chars(s: str) -> Verdict:
     # hits iff a maximal one does, so the maximal periods are all it decides
     if _root_length(s) < len(s):
         return Verdict.NON_PRIMITIVE
-    hits, _ = _maximal_hits(s)
-    return Verdict.NON_INS_ROBUST if hits else Verdict.INS_ROBUST
+    hit = next(_maximal_hits(s), None)
+    return Verdict.INS_ROBUST if hit is None else Verdict.NON_INS_ROBUST
 
 
 def _oracle_verdict_chars(s: str, symbols: str) -> Verdict:

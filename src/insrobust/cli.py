@@ -45,6 +45,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout, as `| head` does
 
 # one encoder for every JSON line; json.dumps with separators builds a new one per call
 _JSON = json.JSONEncoder(separators=(",", ":"))
+_PIECE = 1 << 16  # characters per write of a long output line
 
 
 class CliError(Exception):
@@ -58,6 +59,12 @@ def _emit(fmt: str, records, human, columns=()) -> None:
     ``human(record)``, ``csv`` a header of ``columns`` and then each record's
     values of them, blank where it lacks one (all are integers, so nothing
     is quoted).  The csv rows are all formatted before the header is written.
+    Each line is written in pieces of at most ``_PIECE`` characters.  With
+    unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) a write goes
+    straight to the file and a short write is not retried, so one write of
+    megabytes to a pipe whose reader has gone lost its tail without
+    BrokenPipeError; the next piece raises it.  A short final write, with no
+    piece after it, still goes unreported.
     """
     # nothing may hold a written line while the next record is made, which
     # can be the peak of the call: so one generator stage for jsonl (a second
@@ -69,7 +76,11 @@ def _emit(fmt: str, records, human, columns=()) -> None:
         lines = (row + "\n" for row in [",".join(columns), *rows])
     else:
         lines = map("{}\n".format, chain.from_iterable(map(human, records)))
-    sys.stdout.writelines(lines)
+    write = sys.stdout.write
+    for line in lines:
+        for start in range(0, len(line), _PIECE):
+            write(line[start : start + _PIECE])
+        del line  # not held while the next record is made
 
 
 def _symbols_of(text: str, unicode_mode: bool) -> str:

@@ -1,7 +1,8 @@
 import math
 import random
 import statistics
-from itertools import product
+from itertools import compress, count, product
+from operator import ne, sub
 from typing import Iterator
 
 from hypothesis import HealthCheck, settings
@@ -18,7 +19,7 @@ settings.load_profile("insrobust")
 
 BINARY = Alphabet("ab")
 TERNARY = Alphabet("abc")
-CODEPOINTS = Alphabet("\u0100\u0101\u0102")  # equal but for the low byte of utf-32
+CODEPOINTS = Alphabet("\u0100\u0101\u0102")  # above U+00FF, equal but for the low byte
 
 
 def all_words(alphabet: Alphabet, min_len: int, max_len: int) -> Iterator[Word]:
@@ -63,3 +64,31 @@ def fragile_word(n: int, alphabet: Alphabet, period: int, rng: random.Random) ->
         w = Word(chars, alphabet)
         if is_primitive(w):
             return w
+
+
+def mismatches(s: str, p: int) -> list[int]:
+    """D = {j : s[j] != s[(j+p) mod n]} for a period p, ascending."""
+    return list(compress(count(), map(ne, s, s[p:] + s[:p])))
+
+
+def leftmost_by_gaps(s: str, p: int) -> int | None:
+    """Smallest i in [0, n] whose length-n window of ss has period p, else None.
+
+    The reference for the classifier's window decisions: the window at i has
+    period p iff its n-p cyclic positions from i avoid D, so the gaps of D are
+    read off in one linear pass, with no blocks, galloping or maximal periods.
+    """
+    n = len(s)
+    need = n - p
+    d = mismatches(s, p)
+    # the window at 0 fits before the first mismatch, also where the gap
+    # holding it wraps past the end
+    if not d or d[0] >= need:
+        return 0
+    gaps = list(map(sub, d[1:], d))
+    if gaps and max(gaps) > need:
+        return d[next(k for k, gap in enumerate(gaps) if gap > need)] + 1
+    # the gap that wraps: from d[-1] + 1 through n - 1, then 0 .. d[0] - 1
+    if n - d[-1] + d[0] > need:
+        return d[-1] + 1
+    return None

@@ -2,7 +2,15 @@ import math
 import random
 
 import pytest
-from conftest import BINARY, CODEPOINTS, TERNARY, all_strings, all_words, fragile_word
+from conftest import (
+    BINARY,
+    CODEPOINTS,
+    TERNARY,
+    all_strings,
+    all_words,
+    fragile_word,
+    leftmost_by_gaps,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -342,8 +350,8 @@ class TestFragileAtScale:
     """Built fragile words at n from 31 to 4097, over every kind of n+1.
 
     Random words are almost always ins-robust, so only built words reach the
-    witness branch at these lengths.  The codepoint alphabet needs four bytes
-    per symbol, where a zero run can start off the symbol grid.
+    witness branch at these lengths.  The codepoint alphabet holds symbols
+    above U+00FF that differ only in their low byte.
     """
 
     # n+1: prime powers 2^5, 3^5, 2^10; highly composite 36, 360, 720, 840
@@ -366,14 +374,12 @@ class TestFragileAtScale:
         _assert_fast_matches_oracle(w, fragile=True)
 
     def test_codepoint_window_off_the_symbol_grid(self):
-        # U+0100 xor U+0101 is one byte 01 followed by zero bytes, so the
-        # first zero run of "ĀĀāĀĀā" shifted by 2 starts inside a symbol
+        # short fragile words over symbols that differ only in their low byte
         for chars in ("\u0100\u0100\u0101", "\u0101\u0100\u0100\u0101\u0100"):
             _assert_fast_matches_oracle(Word(chars, CODEPOINTS), fragile=True)
 
     def test_lone_surrogates_are_symbols(self):
-        # a str may hold lone surrogates, which utf-32 encodes only with
-        # surrogatepass
+        # a str may hold lone surrogates, and each is one symbol
         alphabet = Alphabet("\ud800a")
         for w in all_words(alphabet, 1, 6):
             _assert_fast_matches_oracle(w)
@@ -384,15 +390,9 @@ class TestFragileAtScale:
 
 
 def _full_scan(s: str, periods: tuple[int, ...]) -> tuple[int, int] | None:
-    """Reference: one window scan per eligible period, in ascending order."""
-    n = len(s)
-    try:
-        e = s.encode("latin-1")
-    except UnicodeEncodeError:
-        e = s.encode("utf-32-le", "surrogatepass")
-    x = int.from_bytes(e + e, "little")
+    """Reference: one gap reading per period, in ascending order."""
     for p in periods:
-        i = classify_module._leftmost_periodic_start((x, len(e) // n), n, p)
+        i = leftmost_by_gaps(s, p)
         if i is not None:
             return p, i
     return None
@@ -408,8 +408,9 @@ def _hit_and_plan(s: str):
 
 
 class TestHitGuidedScan:
-    """``_first_hit`` scans the maximal periods (n+1)/q first, then only the
-    periods they allow; it must return what the full ascending scan does."""
+    """``_first_hit`` decides only the maximal periods (n+1)/q and reads the
+    smallest period off the root length of one window of each that hits; it
+    must return what the full ascending scan does."""
 
     def test_maximal_periods(self):
         # the maximal periods (n+1)/q come from the cached factorization of n+1
@@ -449,34 +450,55 @@ class TestHitGuidedScan:
 
     def test_matches_full_scan_at_a_hard_length(self):
         # n+1 = 720720 = 2^4 3^2 5 7 11 13 and p = 120120 = (n+1)/6, so the
-        # maximal periods 240240 and 360360 must both hit before p is scanned
+        # maximal periods 240240 and 360360 must both hit and p is no maximal
+        # period.  The ascending reference would read ~200 periods here, so
+        # this checks the maximal ones, each a linear pass, and takes the
+        # root length of each window where one hits by the search of (u+u),
+        # not by the rotation compares the fast path uses.
         w = fragile_word(720_719, BINARY, 120_120, random.Random(6))
-        hit, periods, maximal = _hit_and_plan(w.chars)
-        assert hit == _full_scan(w.chars, periods)
-        assert hit[0] == 120_120 and hit[0] not in maximal
+        s = w.chars
+        hit, _, maximal = _hit_and_plan(s)
+        starts = {p: leftmost_by_gaps(s, p) for p in maximal}
+        assert {p for p, i in starts.items() if i is not None} == {240_240, 360_360}
+        assert hit == _least_root_and_start(s, starts)
+        assert hit == (120_120, leftmost_by_gaps(s, 120_120))
+        assert hit[0] not in maximal
+
+
+def _least_root_and_start(s: str, starts: dict) -> tuple[int, int]:
+    """The least (root length of u, start) over the periods P with a start
+    i, u the P symbols of ss at i, each root by (u+u).find(u, 1)."""
+    ss = s + s
+    pairs = []
+    for p, i in starts.items():
+        if i is not None:
+            u = ss[i : i + p]
+            pairs.append(((u + u).find(u, 1), i))
+    return min(pairs)
 
 
 def _count_scans(monkeypatch, w: Word):
-    """classify_fast(w), the periods scanned, and (period, decided) for each
-    block-compare certificate tried."""
-    scanned, certified = [], []
-    real_scan = classify_module._leftmost_periodic_start
-    real_certificate = classify_module._no_window
+    """classify_fast(w), each (period, start) decided, and the number of gap
+    extensions (each starts with one forward ``_lce``), where a block agreed
+    with the rotation."""
+    decided, extended = [], []
+    real_decide = classify_module._leftmost_periodic_start
+    real_lce = classify_module._lce
 
-    def counted_scan(b, n, p):
-        scanned.append(p)
-        return real_scan(b, n, p)
+    def counted_decide(s, n, p):
+        start = real_decide(s, n, p)
+        decided.append((p, start))
+        return start
 
-    def counted_certificate(s, p):
-        decided = real_certificate(s, p)
-        certified.append((p, decided))
-        return decided
+    def counted_lce(*args):
+        extended.append(args)
+        return real_lce(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(classify_module, "_leftmost_periodic_start", counted_scan)
-        patch.setattr(classify_module, "_no_window", counted_certificate)
+        patch.setattr(classify_module, "_leftmost_periodic_start", counted_decide)
+        patch.setattr(classify_module, "_lce", counted_lce)
         result = classify_fast(w)
-    return result, scanned, certified
+    return result, decided, len(extended)
 
 
 class TestScanCount:
@@ -485,14 +507,14 @@ class TestScanCount:
     @pytest.mark.parametrize("n, omega", [(720_719, 6), (1_000_000, 2)])
     def test_robust_word_costs_omega_scans(self, monkeypatch, n, omega):
         # block compares rule out every maximal period of a random word, so
-        # it costs ω(n+1) certificates and no window scan
+        # it costs ω(n+1) decisions and no gap extension
         rng = random.Random(n)
         w = bw("".join(rng.choices("ab", k=n)))
-        result, scanned, certified = _count_scans(monkeypatch, w)
+        result, decided, extended = _count_scans(monkeypatch, w)
         assert result.verdict is Verdict.INS_ROBUST
-        assert scanned == []
-        assert sorted(certified) == [(p, True) for p in _maximal_periods(n)]
-        assert len(certified) == omega
+        assert sorted(decided) == [(p, None) for p in _maximal_periods(n)]
+        assert len(decided) == omega
+        assert extended == 0
 
     def test_fragile_word_at_a_hard_length(self, monkeypatch):
         # u^11 with one letter deleted: n+1 = 997920 = 2^5 3^4 5 7 11, |u| = 90720
@@ -501,13 +523,14 @@ class TestScanCount:
         full = "".join(rng.choices("ab", k=period)) * 11
         cut = rng.randrange(n + 1)
         w = bw(full[:cut] + full[cut + 1 :])
-        result, scanned, certified = _count_scans(monkeypatch, w)
+        result, decided, _ = _count_scans(monkeypatch, w)
         assert result.verdict is Verdict.NON_INS_ROBUST
-        # only the period built in is scanned: block compares rule out the
-        # other maximal periods, and no smaller period is allowed
-        assert scanned == [period]
-        assert sorted(certified) == [(p, p != period) for p in _maximal_periods(n)]
+        # each maximal period is decided once, and only the period built in
+        # gets a start, the reference's
+        expected = (period, leftmost_by_gaps(w.chars, period))
+        assert sorted(p for p, _ in decided) == list(_maximal_periods(n))
+        assert [(p, i) for p, i in decided if i is not None] == [expected]
+        assert _least_root_and_start(w.chars, dict([expected])) == expected
         (wit,) = result.witnesses
-        assert len(wit.root) == period
+        assert (len(wit.root), wit.position) == expected
         assert insert(w, wit.position, wit.letter).chars == wit.root.chars * wit.power
-        assert (len(wit.root), wit.position) == _full_scan(w.chars, eligible_periods(n))

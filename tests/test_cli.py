@@ -2,6 +2,7 @@ import importlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -300,6 +301,29 @@ class TestTracedAttributes:
         assert isinstance(found, set) and len(found) == 3
 
 
+class TestTracedRun:
+    """The traced benchmark's recorder, run on tiny calls, finds every
+    attribute it wraps; it lists under "absent" each one it could not find."""
+
+    @pytest.mark.parametrize(
+        "argv", [["classify", "aabaa"], ["census", "4", "2"], ["runs", "aab"]], ids=" ".join
+    )
+    def test_traced_run_finds_every_attribute(self, tmp_path, argv):
+        spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        out = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(spans), str(out), "--", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(out.read_text(encoding="utf-8"))
+        assert trace["absent"] == []
+        if argv[0] == "classify":
+            assert trace["stats"]["classify.scan_python"]["count"] > 0
+
+
 class TestRunsCommand:
     def test_human_table(self, capsys):
         code, out, _ = run_cli(capsys, "runs", "abaababaabaab")
@@ -535,8 +559,8 @@ class TestParserBehavior:
 
     def test_classify_runs_without_numpy(self):
         # numpy is blocked in the child, so importing it anywhere on the
-        # classify path fails; a word past 4096 symbols and a word needing
-        # four bytes per symbol cover both widths of the window scan
+        # classify path fails; a word past 4096 symbols and a word of
+        # symbols above U+00FF both reach the witness branch
         script = (
             "import sys\n"
             "sys.modules['numpy'] = None\n"
@@ -674,5 +698,24 @@ class TestRecordWriter:
         assert proc.stdout.readline() == "census n=16 k=2 total=65536\n"
         proc.stdout.close()  # about 1.3 MB is left unread, far past a pipe's buffer
         err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["human", "jsonl"])
+    def test_closed_pipe_on_one_long_line(self, tmp_path, fmt):
+        # one line of about 2 MB to unbuffered stdout: written whole, it
+        # reached the closed pipe in one short write that raised nothing
+        path = tmp_path / "word.txt"
+        path.write_text("".join(random.Random(7).choices("ab", k=2_000_001)) + "\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "insrobust", "classify", "--file", str(path), "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
         assert "Traceback" not in err

@@ -1,46 +1,53 @@
-"""The window scan and its block-compare certificate against a linear reference.
+"""The per-period window decision against a linear reference.
 
-The reference reads the leftmost periodic window off the cyclic mismatch set
-D = {j : s[j] != s[(j+p) mod n]}: the window of ss at i has period p iff the
-n-p cyclic positions from i avoid D.  It shares that argument with
-``classify_fast`` but none of its code (no encoding, no XOR, no
-``bytes.find``, no certificate and no maximal-period pruning), and costs
+The reference (``conftest.leftmost_by_gaps``) reads the leftmost periodic
+window off the cyclic mismatch set D = {j : s[j] != s[(j+p) mod n]}: the
+window of ss at i has period p iff the n-p cyclic positions from i avoid D.
+It shares that argument with ``classify_fast`` but none of its code (no
+blocks, no galloping extension and no maximal-period pruning), and costs
 O(n) per period, so it checks the witness contract at n near 10^5, where the
 insertion oracle is out of reach.
 """
 
 import random
-from itertools import compress, count
-from operator import ne, sub
 
 import pytest
-from conftest import BINARY, CODEPOINTS, TERNARY, all_strings, all_words, fragile_word
+from conftest import (
+    BINARY,
+    CODEPOINTS,
+    TERNARY,
+    all_strings,
+    all_words,
+    fragile_word,
+    leftmost_by_gaps,
+    mismatches,
+)
 
 from insrobust import Verdict, Word, classify_fast, classify_oracle, eligible_periods, insert
 from insrobust import classify as classify_module
 
 
-def _mismatches(s: str, p: int) -> list[int]:
-    """D for period p, ascending."""
-    return list(compress(count(), map(ne, s, s[p:] + s[:p])))
+def _count_extensions(patch) -> list:
+    """Record each gap extension from now on: each starts with one forward
+    ``_lce`` call."""
+    calls = []
+    real = classify_module._lce
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    patch.setattr(classify_module, "_lce", counted)
+    return calls
 
 
-def _leftmost_by_gaps(s: str, p: int) -> int | None:
-    """Smallest i in [0, n] whose length-n window of ss has period p, else None."""
-    n = len(s)
-    need = n - p
-    d = _mismatches(s, p)
-    # the window at 0 fits before the first mismatch, also where the gap
-    # holding it wraps past the end
-    if not d or d[0] >= need:
-        return 0
-    gaps = list(map(sub, d[1:], d))
-    if gaps and max(gaps) > need:
-        return d[next(k for k, gap in enumerate(gaps) if gap > need)] + 1
-    # the gap that wraps: from d[-1] + 1 through n - 1, then 0 .. d[0] - 1
-    if n - d[-1] + d[0] > need:
-        return d[-1] + 1
-    return None
+def _decide(monkeypatch, s: str, p: int) -> tuple[int | None, bool]:
+    """``_leftmost_periodic_start`` for (s, p), and whether a block agreed,
+    so that it extended a gap."""
+    with monkeypatch.context() as patch:
+        extended = _count_extensions(patch)
+        start = classify_module._leftmost_periodic_start(s, len(s), p)
+    return start, bool(extended)
 
 
 def _reference_hit(s: str) -> tuple[int, int] | None:
@@ -49,7 +56,7 @@ def _reference_hit(s: str) -> tuple[int, int] | None:
     n = len(s)
     for p in range(1, n + 1):
         if (n + 1) % p == 0:
-            i = _leftmost_by_gaps(s, p)
+            i = leftmost_by_gaps(s, p)
             if i is not None:
                 return p, i
     return None
@@ -71,13 +78,12 @@ def _assert_fast_matches_reference(w: Word) -> tuple[int, int] | None:
 
 
 class TestGapReference:
-    def test_wrapping_gap_with_the_window_at_zero(self):
+    def test_wrapping_gap_with_the_window_at_zero(self, monkeypatch):
         # "abbab", p = 3: D = {2, 3}, and the gap 4, 0, 1 wraps past the end;
         # the leftmost window starts at 0, not at 4
-        assert _mismatches("abbab", 3) == [2, 3]
-        assert _leftmost_by_gaps("abbab", 3) == 0
-        v = classify_module._encode("abbab")
-        assert classify_module._leftmost_periodic_start(v, 5, 3) == 0
+        assert mismatches("abbab", 3) == [2, 3]
+        assert leftmost_by_gaps("abbab", 3) == 0
+        assert _decide(monkeypatch, "abbab", 3) == (0, True)
 
     def test_matches_oracle_exhaustive(self):
         for alphabet, longest in ((BINARY, 12), (TERNARY, 7)):
@@ -91,38 +97,45 @@ class TestGapReference:
 
 
 class TestNoWindowCertificate:
-    """``_no_window(s, p)`` may answer True only when no window has period p."""
+    """``_leftmost_periodic_start(s, n, p)`` equals the reference, and when
+    every block differs from the rotation, so that no gap is extended, it
+    answers None."""
 
-    def test_certified_periods_have_no_window_exhaustive(self):
-        # every (word, eligible p) pair; a rotation by j - p instead of j + p
-        # shifts D by p and keeps its gaps, so the direction cannot be wrong
+    def test_certified_periods_have_no_window_exhaustive(self, monkeypatch):
+        # every (word, eligible p) pair, primitive or not; a rotation by j - p
+        # instead of j + p shifts D by p and keeps its gaps, so the direction
+        # cannot be wrong
         decided = {}
+        extended = _count_extensions(monkeypatch)
         for symbols, longest in (("ab", 14), ("abc", 8)):
             pairs = certified = 0
             for s in all_strings(symbols, 1, longest):
                 n = len(s)
-                v = classify_module._encode(s)
                 for p in eligible_periods(n):
-                    start = _leftmost_by_gaps(s, p)
-                    assert classify_module._leftmost_periodic_start(v, n, p) == start, (s, p)
+                    start = leftmost_by_gaps(s, p)
+                    extended.clear()
+                    assert classify_module._leftmost_periodic_start(s, n, p) == start, (s, p)
                     pairs += 1
-                    if classify_module._no_window(s, p):
+                    if not extended and n > p:
                         certified += 1
                         assert start is None, (s, p)
             decided[symbols] = certified, pairs
         # blocks of at most (n-p+1)//2 positions decide most pairs
         assert decided["ab"] == (75_616, 91_718)
+        assert sum(pairs for _, pairs in decided.values()) == 113_006
 
-    def test_one_more_position_per_block_is_unsound(self):
+    def test_one_more_position_per_block_is_unsound(self, monkeypatch):
         # "aab", p = 2: D = {0, 2}, and the window at 1 avoids it; blocks of
         # (n-p+1)//2 = 1 position find the match at 1, but blocks of 2
         # positions ([0, 2) and [2, 3)) would both differ
-        assert _mismatches("aab", 2) == [0, 2]
-        assert _leftmost_by_gaps("aab", 2) == 1
-        assert classify_module._no_window("aab", 2) is False
+        assert mismatches("aab", 2) == [0, 2]
+        assert leftmost_by_gaps("aab", 2) == 1
+        assert _decide(monkeypatch, "aab", 2) == (1, True)
 
-    def test_undecided_when_the_word_is_a_single_symbol(self):
-        assert classify_module._no_window("a", 1) is False
+    def test_undecided_when_the_word_is_a_single_symbol(self, monkeypatch):
+        # n = 1 and p = 1: no position has to avoid D, so the window at 0
+        # fits with no block compared
+        assert _decide(monkeypatch, "a", 1) == (0, False)
 
 
 # n+1 = 100800 = 2^6 3^2 5^2 7: 125 eligible periods, maximal 50400, 33600,
@@ -137,7 +150,7 @@ class TestAtScale:
     @pytest.mark.parametrize("alphabet", [BINARY, TERNARY, CODEPOINTS], ids=repr)
     def test_witness_contract_on_built_fragile_words(self, alphabet):
         # p = (n+1)/6 divides the maximal periods 50400 and 33600, so both
-        # must hit before the smaller periods are tried
+        # hit, and p is the root length of the windows where they do
         w = fragile_word(N, alphabet, 16_800, random.Random(len(alphabet)))
         assert _assert_fast_matches_reference(w) is not None
 
