@@ -9,12 +9,14 @@ random words).
 Words are read as UTF-8 text but classified at the byte level by default, so
 the hot path never re-encodes; ``--unicode`` switches to codepoint symbols.
 Exit codes: 0 success, 1 audit failure, 2 usage or input error, 3 budget
-exceeded, 141 stdout closed by its reader.
+exceeded, 141 stdout closed by its reader.  Every subcommand writes through
+one buffered stdout, also under ``python -u``, so a closed pipe always raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -45,7 +47,6 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout, as `| head` does
 
 # one encoder for every JSON line; json.dumps with separators builds a new one per call
 _JSON = json.JSONEncoder(separators=(",", ":"))
-_PIECE = 1 << 16  # characters per write of a long output line
 
 
 class CliError(Exception):
@@ -59,12 +60,8 @@ def _emit(fmt: str, records, human, columns=()) -> None:
     ``human(record)``, ``csv`` a header of ``columns`` and then each record's
     values of them, blank where it lacks one (all are integers, so nothing
     is quoted).  The csv rows are all formatted before the header is written.
-    Each line is written in pieces of at most ``_PIECE`` characters.  With
-    unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) a write goes
-    straight to the file and a short write is not retried, so one write of
-    megabytes to a pipe whose reader has gone lost its tail without
-    BrokenPipeError; the next piece raises it.  A short final write, with no
-    piece after it, still goes unreported.
+    The lines go to stdout in one ``writelines``; ``main`` puts a buffered
+    writer under an unbuffered stdout, so a closed pipe always raises.
     """
     # nothing may hold a written line while the next record is made, which
     # can be the peak of the call: so one generator stage for jsonl (a second
@@ -76,11 +73,7 @@ def _emit(fmt: str, records, human, columns=()) -> None:
         lines = (row + "\n" for row in [",".join(columns), *rows])
     else:
         lines = map("{}\n".format, chain.from_iterable(map(human, records)))
-    write = sys.stdout.write
-    for line in lines:
-        for start in range(0, len(line), _PIECE):
-            write(line[start : start + _PIECE])
-        del line  # not held while the next record is made
+    sys.stdout.writelines(lines)
 
 
 def _symbols_of(text: str, unicode_mode: bool) -> str:
@@ -450,6 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # under python -u a write cut short by a closed pipe goes unreported;
+        # a line-buffered writer retries it, and so raises BrokenPipeError
+        sys.stdout = open(out.fileno(), "w", 1, out.encoding, out.errors, closefd=False)
     args = _build_parser().parse_args(argv)
     handlers = {
         "classify": _cmd_classify,

@@ -136,10 +136,9 @@ def _fragile_classes(n: int, symbols: str) -> set[str]:
     return classes
 
 
-def _constructed_counts(n: int, symbols: str) -> dict[Verdict, int]:
-    k = len(symbols)
+def _constructed_counts(n: int, k: int, classes: set[str]) -> dict[Verdict, int]:
     primitive = count_primitive(n, k)
-    fragile = n * len(_fragile_classes(n, symbols))
+    fragile = n * len(classes)
     return {
         Verdict.NON_PRIMITIVE: k**n - primitive,
         Verdict.INS_ROBUST: primitive - fragile,
@@ -148,13 +147,13 @@ def _constructed_counts(n: int, symbols: str) -> dict[Verdict, int]:
 
 
 def _enumerate(
-    symbols: str, n: int, list_words: bool, audit: bool
+    symbols: str, n: int, classes: set[str], list_words: bool, audit: bool
 ) -> tuple[dict[Verdict, int], dict[Verdict, tuple[str, ...]] | None]:
     # each word's verdict comes from the construction; an audit also asks the
     # fast classifier and the insertion oracle.  Primitivity is tested with
     # (s + s).find(s, 1), as in _fragile_classes, not with the fast path's
     # rotation compares, which are slower on words this short.
-    fragile = {c[i:] + c[:i] for c in _fragile_classes(n, symbols) for i in range(n)}
+    fragile = {c[i:] + c[:i] for c in classes for i in range(n)}
     counts = dict.fromkeys(Verdict, 0)
     words: dict[Verdict, list[str]] | None
     words = {v: [] for v in Verdict} if list_words else None
@@ -220,22 +219,20 @@ def census(
             " raise the budget to proceed"
         )
     symbols = alphabet.symbols
+    classes = _fragile_classes(n, symbols)
+    counts = constructed = _constructed_counts(n, k, classes)
     words_map = None
     if list_words or audit_oracle:
-        counts, words_map = _enumerate(symbols, n, list_words, audit_oracle)
-    else:
-        counts = _constructed_counts(n, symbols)
-    if audit_oracle:
-        constructed = _constructed_counts(n, symbols)
-        if constructed != counts:
-            shown = ", ".join(
-                f"{verdict.value} {constructed[verdict]} != {counts[verdict]}"
-                for verdict in Verdict
-                if constructed[verdict] != counts[verdict]
-            )
-            raise OracleMismatchError(
-                f"constructed tallies disagreed with the enumerated ones: {shown}"
-            )
+        counts, words_map = _enumerate(symbols, n, classes, list_words, audit_oracle)
+    if audit_oracle and constructed != counts:
+        shown = ", ".join(
+            f"{verdict.value} {constructed[verdict]} != {counts[verdict]}"
+            for verdict in Verdict
+            if constructed[verdict] != counts[verdict]
+        )
+        raise OracleMismatchError(
+            f"constructed tallies disagreed with the enumerated ones: {shown}"
+        )
     return CensusReport(
         n=n,
         k=k,

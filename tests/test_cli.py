@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,14 @@ def _console_script(name):
         tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as handle:
         return tomllib.load(handle)["project"]["scripts"][name]
+
+
+def _stdout_env(unbuffered):
+    """The caller's environment with Python's stdout buffered or unbuffered."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -688,12 +697,14 @@ class TestRecordWriter:
         assert written == list(range(len(words)))
         assert out.getvalue().count("\n") == len(words)
 
-    def test_closed_pipe_exits_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_quietly(self, unbuffered):
         proc = subprocess.Popen(
             [sys.executable, "-m", "insrobust", "census", "16", "2", "--list"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=_stdout_env(unbuffered),
         )
         assert proc.stdout.readline() == "census n=16 k=2 total=65536\n"
         proc.stdout.close()  # about 1.3 MB is left unread, far past a pipe's buffer
@@ -712,10 +723,73 @@ class TestRecordWriter:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             bufsize=0,
-            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+            env=_stdout_env(unbuffered=True),
         )
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
         assert "Traceback" not in err
+
+    def test_closed_pipe_during_the_last_write(self, tmp_path):
+        # the one line, about 75 KB, fills the pipe and blocks; after 8 KiB
+        # are read the reader closes, so the write ends short with no later
+        # write: unbuffered stdout let that go and exited 0
+        fcntl = pytest.importorskip("fcntl")
+        termios = pytest.importorskip("termios")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("the pipe's size cannot be read on this platform")
+        path = tmp_path / "word.txt"
+        path.write_text("".join(random.Random(7).choices("ab", k=75_000)) + "\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "insrobust", "classify", "--file", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+            env=_stdout_env(unbuffered=True),
+        )
+        fd = proc.stdout.fileno()
+        size = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+        assert size + 8192 < 75_000, "the line must not fit in the pipe"
+
+        def queued():
+            return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+
+        deadline = time.monotonic() + 60
+        while queued() < size:
+            assert time.monotonic() < deadline and proc.poll() is None, "the pipe never filled"
+            time.sleep(0.01)
+        assert len(os.read(fd, 8192)) == 8192
+        time.sleep(0.2)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--unicode", b"\xffa"],
+            ["census", "8", "2", "--list", "--format", "jsonl"],
+            ["runs", "abaababaabaab", "--format", "jsonl"],
+            ["count", "6", "2", "--format", "csv"],
+        ],
+        ids=["classify-surrogate", "census-list", "runs", "count-csv"],
+    )
+    def test_same_bytes_on_both_stdout_layers(self, argv):
+        # the buffered writer put under unbuffered stdout keeps its encoding
+        # and error handler: b"\xff" round-trips as a surrogate escape
+        calls = [
+            subprocess.run(
+                [sys.executable, "-m", "insrobust", *argv],
+                capture_output=True,
+                env={**_stdout_env(unbuffered), "PYTHONIOENCODING": "utf-8:surrogateescape"},
+                timeout=60,
+            )
+            for unbuffered in (False, True)
+        ]
+        buffered, unbuffered = [(c.returncode, c.stdout, c.stderr) for c in calls]
+        assert buffered[0] == 0, buffered[2]
+        assert unbuffered == buffered
+        if argv[0] == "classify":
+            assert buffered[1] == b"\xffa\tins-robust\n"

@@ -201,11 +201,28 @@ class TestFragileByConstruction:
         with pytest.raises(AssertionError):
             census(6, BINARY, list_words=True)
 
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"list_words": True}, {"audit_oracle": True}],
+        ids=["tallies", "list", "audit"],
+    )
+    def test_classes_are_built_once(self, monkeypatch, options):
+        classes = counting._fragile_classes
+        calls = []
+
+        def counted(n, symbols):
+            calls.append((n, symbols))
+            return classes(n, symbols)
+
+        monkeypatch.setattr(counting, "_fragile_classes", counted)
+        assert _tallies(census(8, BINARY, **options)) == (16, 208, 32)
+        assert calls == [(8, "ab")]
+
     def test_oracle_audit_catches_a_wrong_construction(self, monkeypatch, capsys):
         constructed = counting._constructed_counts
 
-        def off_by_one(n, symbols):
-            counts = constructed(n, symbols)
+        def off_by_one(*args):
+            counts = constructed(*args)
             counts[Verdict.NON_INS_ROBUST] += 1
             counts[Verdict.INS_ROBUST] -= 1
             return counts
