@@ -32,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .repetitions import _lce, find_maximal_repetitions
+from .repetitions import _lce, _lce_back, find_maximal_repetitions
 from .words import Word, _prime_factorization, _root_length, insert, primitive_root
 
 
@@ -106,20 +106,6 @@ def eligible_periods(n: int) -> tuple[int, ...]:
     for q, e in _prime_factorization(n + 1):
         divisors = [d * q**k for d in divisors for k in range(e + 1)]
     return tuple(sorted(d for d in divisors if d <= n))
-
-
-def _lce_back(t: str, i: int, j: int, limit: int, k: int = 0) -> int:
-    # ``repetitions._lce`` run backward: how many symbols t[:i] and t[:j]
-    # share as a suffix, at most ``limit``, given that the last k do.
-    step = 1
-    while step <= limit - k and t[i - k - step : i - k] == t[j - k - step : j - k]:
-        k += step
-        step *= 2
-    while step > 1:
-        step //= 2
-        if step <= limit - k and t[i - k - step : i - k] == t[j - k - step : j - k]:
-            k += step
-    return k
 
 
 def _leftmost_periodic_start(s: str, n: int, p: int) -> int | None:

@@ -79,8 +79,8 @@ def _emit(fmt: str, records, human, columns=()) -> None:
 def _symbols_of(text: str, unicode_mode: bool) -> str:
     if unicode_mode:
         return text
-    # each UTF-8 byte becomes one symbol; ASCII input is unchanged
-    return text.encode("utf-8").decode("latin-1")
+    # each byte becomes one symbol, also an argv byte that is not UTF-8
+    return text.encode("utf-8", "surrogateescape").decode("latin-1")
 
 
 def _read_lines(handle) -> list[str]:
@@ -171,17 +171,15 @@ def _cmd_classify(args) -> int:
                 "inferred alphabet has fewer than two symbols;"
                 " pass --alphabet to widen it"
             )
-    try:
-        alphabet = Alphabet(symbols)
-        if len(alphabet) < 2:
-            raise CliError("alphabet must contain at least two symbols")
-        classifier = classify_oracle if args.oracle else classify_fast
-        records = (
-            _classification_record(text, classifier(Word(text, alphabet))) for text in texts
-        )
-        _emit(args.format, records, _classification_lines)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    # main reports a ValueError of Alphabet or Word as a usage error
+    alphabet = Alphabet(symbols)
+    if len(alphabet) < 2:
+        raise CliError("alphabet must contain at least two symbols")
+    classifier = classify_oracle if args.oracle else classify_fast
+    records = (
+        _classification_record(text, classifier(Word(text, alphabet))) for text in texts
+    )
+    _emit(args.format, records, _classification_lines)
     return EXIT_OK
 
 
@@ -308,7 +306,7 @@ def _parse_sizes(text: str) -> list[int]:
         sizes = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise CliError(f"sizes must be integers, got {text!r}") from None
-    if not sizes or any(size < 1 for size in sizes):
+    if not sizes or any(size < 1 for size in sizes) or len(set(sizes)) < len(sizes):
         raise CliError(f"bad sizes {text!r}")
     return sizes
 
@@ -323,11 +321,7 @@ def _loglog_slope(points: list[tuple[int, float]]) -> float:
 
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(max(seconds, 1e-9)) for _, seconds in points]
-    mean_x = statistics.fmean(xs)
-    mean_y = statistics.fmean(ys)
-    numerator = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    denominator = sum((x - mean_x) ** 2 for x in xs)
-    return numerator / denominator
+    return statistics.linear_regression(xs, ys).slope
 
 
 def _cmd_bench(args) -> int:

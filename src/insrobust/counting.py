@@ -58,17 +58,10 @@ def count_primitive(n: int, k: int) -> int:
         raise ValueError("count_primitive requires a word length n >= 1")
     if k < 1:
         raise ValueError("count_primitive requires an alphabet size k >= 1")
-    primes = [q for q, _ in _prime_factorization(n)]
-    total = 0
-    for mask in range(1 << len(primes)):
-        d = 1
-        bits = 0
-        for i, prime in enumerate(primes):
-            if mask >> i & 1:
-                d *= prime
-                bits += 1
-        total += -(k ** (n // d)) if bits & 1 else k ** (n // d)
-    return total
+    terms = [(1, 1)]  # (d, μ(d)) for each squarefree divisor d of n
+    for q, _ in _prime_factorization(n):
+        terms += [(d * q, -mu) for d, mu in terms]
+    return sum(mu * k ** (n // d) for d, mu in terms)
 
 
 class CountReport(NamedTuple):

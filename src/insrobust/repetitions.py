@@ -66,6 +66,20 @@ def _lce(s: str, i: int, j: int, limit: int, k: int = 0) -> int:
     return k
 
 
+def _lce_back(t: str, i: int, j: int, limit: int, k: int = 0) -> int:
+    # ``_lce`` run backward: how many symbols t[:i] and t[:j] share as a
+    # suffix, at most ``limit``, given that the last k do.
+    step = 1
+    while step <= limit - k and t[i - k - step : i - k] == t[j - k - step : j - k]:
+        k += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if step <= limit - k and t[i - k - step : i - k] == t[j - k - step : j - k]:
+            k += step
+    return k
+
+
 def _lyndon_ends(s: str, inverted: bool) -> list[int]:
     # ends[i] = end of the longest Lyndon word starting at i, under code-point
     # order or its inverse.  Built right to left: u = s[i:j] absorbs the next
@@ -124,7 +138,6 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     """
     s = w.chars
     n = len(s)
-    r = s[::-1]
     runs = {Run(m.start(), m.end() - m.start(), 1) for m in _LETTER_BLOCKS.finditer(s)}
     last_end: dict[int, int] = {}  # period -> end of the last run found with it
     for i, pair in enumerate(zip(_lyndon_ends(s, False), _lyndon_ends(s, True))):
@@ -140,7 +153,7 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
                 matched = 0
             else:
                 continue
-            back = 0 if i == 0 or s[i - 1] != s[e - 1] else _lce(r, n - i, n - e, i)
+            back = 0 if i == 0 or s[i - 1] != s[e - 1] else _lce_back(s, i, e, i, 1)
             # a run needs fwd >= need = p - back, so s[i+need-1] == s[e+need-1];
             # need >= 1, since a candidate with back >= p lies in a run whose
             # first root came earlier, and it was skipped above

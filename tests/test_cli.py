@@ -214,6 +214,42 @@ class TestInferenceAndValidation:
             "",
             "error: inferred alphabet has fewer than two symbols; pass --alphabet to widen it\n",
         )
+        assert run_cli(capsys, "classify", "--alphabet", "a", "aa") == (
+            2,
+            "",
+            "error: alphabet must contain at least two symbols\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["runs", b"a\xffa\xff"], b"start\tlength\tperiod\texponent\n0\t4\t2\t2\n"),
+            (
+                ["classify", b"ab\xff", "--format", "jsonl"],
+                b'{"word":"ab\\u00ff","verdict":"ins-robust"}\n',
+            ),
+        ],
+        ids=["runs", "classify"],
+    )
+    def test_argv_bytes_that_are_not_utf8(self, argv, expected):
+        # byte mode: each argv byte is one symbol, UTF-8 or not
+        call = subprocess.run(
+            [sys.executable, "-m", "insrobust", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONUTF8": "1"},
+            timeout=60,
+        )
+        assert (call.returncode, call.stdout, call.stderr) == (0, expected, b"")
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        # --file is decoded as strict UTF-8, so a stray byte is an input error
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"ab\xff\n")
+        assert run_cli(capsys, "classify", "--file", str(path)) == (
+            2,
+            "",
+            "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n",
+        )
 
     def test_non_ascii_bytes(self, capsys):
         # byte mode: "é" is the two symbols \xc3 \xa9
@@ -444,6 +480,13 @@ class TestCensusCommand:
         assert run_cli(capsys, "census", "3", "1")[0] == 2
         assert run_cli(capsys, "census", "3", "27")[0] == 2
 
+    def test_length_below_one(self, capsys):
+        assert run_cli(capsys, "census", "0", "2") == (
+            2,
+            "",
+            "error: census requires a word length n >= 1\n",
+        )
+
     def test_budget_below_one_is_a_usage_error(self, capsys):
         for budget in ("0", "-1"):
             code, out, err = run_cli(capsys, "census", "3", "2", "--budget", budget)
@@ -485,6 +528,11 @@ class TestCountCommand:
 
     def test_validation(self, capsys):
         assert run_cli(capsys, "count", "0", "2")[0] == 2
+        assert run_cli(capsys, "count", "2", "0") == (
+            2,
+            "",
+            "error: count requires an alphabet size k >= 1\n",
+        )
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
@@ -520,6 +568,12 @@ class TestBenchCommand:
         assert run_cli(capsys, "bench", "--sizes", "abc")[0] == 2
         assert run_cli(capsys, "bench", "--sizes", "1024..4")[0] == 2
         assert run_cli(capsys, "bench", "--sizes", "0")[0] == 2
+        # a repeated size leaves no slope to fit
+        assert run_cli(capsys, "bench", "--sizes", "64,64") == (
+            2,
+            "",
+            "error: bad sizes '64,64'\n",
+        )
 
     def test_bad_trials(self, capsys):
         assert run_cli(capsys, "bench", "--sizes", "64", "--trials", "0")[0] == 2

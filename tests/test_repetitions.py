@@ -131,17 +131,21 @@ class TestFindMaximalRepetitions:
 
 
 def _lce_reads(monkeypatch, w: Word):
+    # symbols matched by the forward and the backward LCE queries together
     reads = []
-    real = repetitions_module._lce
 
-    def counted(s, i, j, limit, k=0):
-        # only the symbols matched past the known prefix k are read
-        result = real(s, i, j, limit, k)
-        reads.append(result - k)
-        return result
+    def counting(real):
+        def counted(s, i, j, limit, k=0):
+            # only the symbols matched past the known k are read
+            result = real(s, i, j, limit, k)
+            reads.append(result - k)
+            return result
+
+        return counted
 
     with monkeypatch.context() as patch:
-        patch.setattr(repetitions_module, "_lce", counted)
+        for name in ("_lce", "_lce_back"):
+            patch.setattr(repetitions_module, name, counting(getattr(repetitions_module, name)))
         runs = find_maximal_repetitions(w)
     return runs, sum(reads)
 
