@@ -6,8 +6,8 @@ of a length, by construction, optionally listed or audited word by word),
 ``count`` (closed-form counts and bounds), and ``bench`` (timing on seeded
 random words).
 
-Words are read as UTF-8 text but classified at the byte level by default, so
-the hot path never re-encodes; ``--unicode`` switches to codepoint symbols.
+Every word (argv, ``--file``, stdin) is read as bytes and decoded once: each
+byte is one symbol by default, and ``--unicode`` switches to codepoints.
 Exit codes: 0 success, 1 audit failure, 2 usage or input error, 3 budget
 exceeded, 141 stdout closed by its reader.  Every subcommand writes through
 one buffered stdout, also under ``python -u``, so a closed pipe always raises.
@@ -76,21 +76,20 @@ def _emit(fmt: str, records, human, columns=()) -> None:
     sys.stdout.writelines(lines)
 
 
-def _symbols_of(text: str, unicode_mode: bool) -> str:
-    if unicode_mode:
-        return text
-    # each byte becomes one symbol, also an argv byte that is not UTF-8
-    return text.encode("utf-8", "surrogateescape").decode("latin-1")
+def _symbols_of(data: bytes, unicode_mode: bool) -> str:
+    # the one decoding rule for argv (the bytes os.fsencode gives back), --file
+    # and stdin: each byte one symbol, or UTF-8 with stray bytes escaped
+    return data.decode("utf-8", "surrogateescape") if unicode_mode else data.decode("latin-1")
 
 
-def _read_lines(handle) -> list[str]:
+def _read_lines(handle, unicode_mode: bool) -> list[str]:
+    # a line ends at b"\n" and is decoded as it is read: the batch is held once
     words = []
     for lineno, line in enumerate(handle, start=1):
-        text = line.rstrip("\r\n")
-        if not text.strip():
+        if line.isspace():
             print(f"warning: skipping blank line {lineno}", file=sys.stderr)
             continue
-        words.append(text)
+        words.append(_symbols_of(line.rstrip(b"\r\n"), unicode_mode))
     return words
 
 
@@ -98,14 +97,14 @@ def _gather_words(args) -> list[str]:
     if args.words and args.file:
         raise CliError("give words as arguments or with --file, not both")
     if args.words:
-        return list(args.words)
+        return [_symbols_of(os.fsencode(word), args.unicode) for word in args.words]
     if args.file:
         try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                return _read_lines(handle)
+            with open(args.file, "rb") as handle:
+                return _read_lines(handle, args.unicode)
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc}") from exc
-    return _read_lines(sys.stdin)
+    return _read_lines(sys.stdin.buffer, args.unicode)
 
 
 def _inferred_symbols(texts: list[str]) -> str:
@@ -156,14 +155,13 @@ def _classification_lines(record: dict) -> list[str]:
 
 
 def _cmd_classify(args) -> int:
-    words = _gather_words(args)
-    if not words:
+    texts = _gather_words(args)
+    if not texts:
         raise CliError("no input words")
-    texts = [_symbols_of(word, args.unicode) for word in words]
     if any(not text for text in texts):
         raise CliError("words must be non-empty")
     if args.alphabet is not None:
-        symbols = _symbols_of(args.alphabet, args.unicode)
+        symbols = _symbols_of(os.fsencode(args.alphabet), args.unicode)
     else:
         symbols = _inferred_symbols(texts)
         if len(symbols) < 2:
@@ -184,7 +182,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_runs(args) -> int:
-    text = _symbols_of(args.word, args.unicode)
+    text = _symbols_of(os.fsencode(args.word), args.unicode)
     rows = []
     if text:
         word = Word(text, Alphabet("".join(sorted(set(text)))))

@@ -131,8 +131,10 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     slice comparisons of h symbols discard most candidates.  Next, back costs
     no read unless the symbols before s[i] and s[i+p] match, and a run needs
     fwd >= p - back, so one symbol at that far end rejects most of the rest
-    before the forward LCE query; each query reads O(result + 1) symbols.  On
-    words of long blocks, such as (a^k b)^m, the LCE reads are O(n) in all;
+    before the forward LCE query; each query reads O(result + 1) symbols, in
+    a maximal stretch of j with s[j] = s[j+p] that at most two candidates
+    read: 2n per period p, so O(n log n) on Fibonacci words (log_φ n periods).
+    On words of long blocks, such as (a^k b)^m, the LCE reads are O(n) in all;
     the Lyndon build still copies up to k symbols per step there, so it
     reads O(n·k) symbols, at C speed.
     """

@@ -1,8 +1,10 @@
 import math
+import os
 import random
 import statistics
 from itertools import compress, count, product
 from operator import ne, sub
+from pathlib import Path
 from typing import Iterator
 
 from hypothesis import HealthCheck, settings
@@ -20,6 +22,16 @@ settings.load_profile("insrobust")
 BINARY = Alphabet("ab")
 TERNARY = Alphabet("abc")
 CODEPOINTS = Alphabet("\u0100\u0101\u0102")  # above U+00FF, equal but for the low byte
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """The caller's environment for a test's child process, with this tree's
+    ``src`` first on PYTHONPATH, so every child imports the code under test."""
+    inherited = os.environ.get("PYTHONPATH")
+    path = f"{SRC}{os.pathsep}{inherited}" if inherited else str(SRC)
+    return {**os.environ, "PYTHONPATH": path, **overrides}
 
 
 def all_words(alphabet: Alphabet, min_len: int, max_len: int) -> Iterator[Word]:

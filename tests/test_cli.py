@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from insrobust.cli import _inferred_symbols, main
 
@@ -27,8 +28,9 @@ def _console_script(name):
 
 
 def _stdout_env(unbuffered):
-    """The caller's environment with Python's stdout buffered or unbuffered."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    """The children's environment with Python's stdout buffered or unbuffered."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
@@ -122,7 +124,7 @@ class TestClassifyCommand:
         assert "non-empty" in err
 
     def test_stdin_with_blank_lines(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("aab\n\n   \nabba\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"aab\n\n   \nabba\n")))
         code, out, err = run_cli(capsys, "classify")
         assert code == 0
         assert len(out.splitlines()) == 2
@@ -148,7 +150,7 @@ class TestClassifyCommand:
         assert code == 2
 
     def test_no_input(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
         code, _, err = run_cli(capsys, "classify")
         assert code == 2
         assert "no input words" in err
@@ -236,20 +238,53 @@ class TestInferenceAndValidation:
         call = subprocess.run(
             [sys.executable, "-m", "insrobust", *argv],
             capture_output=True,
-            env={**os.environ, "PYTHONUTF8": "1"},
+            env=child_env(PYTHONUTF8="1"),
             timeout=60,
         )
         assert (call.returncode, call.stdout, call.stderr) == (0, expected, b"")
 
-    def test_file_that_is_not_utf8(self, capsys, tmp_path):
-        # --file is decoded as strict UTF-8, so a stray byte is an input error
+    @pytest.mark.parametrize("unicode_mode", [False, True], ids=["bytes", "unicode"])
+    @pytest.mark.parametrize(
+        "data, byte_words, unicode_words, err",
+        [
+            (b"ab\xff\n", ["ab\xff"], ["ab\udcff"], b""),
+            # a line ends at \n only, so the lone \r stays in the word
+            (b"ab\rba\r\naab\n", ["ab\rba", "aab"], ["ab\rba", "aab"], b""),
+            (
+                b"aab\n   \nabba\n",
+                ["aab", "abba"],
+                ["aab", "abba"],
+                b"warning: skipping blank line 2\n",
+            ),
+            # only ASCII whitespace is blank: a no-break space is a word
+            (b"aab\n\xc2\xa0\nabba\n", ["aab", "\xc2\xa0", "abba"], ["aab", "\xa0", "abba"], b""),
+        ],
+        ids=["not-utf8", "lone-cr", "spaces", "nbsp"],
+    )
+    def test_one_rule_for_every_source(
+        self, tmp_path, data, byte_words, unicode_words, err, unicode_mode
+    ):
+        # the same bytes through --file, stdin and, where they are one word,
+        # argv: one decoding rule, so one stdout, stderr and exit code
         path = tmp_path / "words.txt"
-        path.write_bytes(b"ab\xff\n")
-        assert run_cli(capsys, "classify", "--file", str(path)) == (
-            2,
-            "",
-            "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n",
-        )
+        path.write_bytes(data)
+        mode = ["--unicode"] if unicode_mode else []
+        cli = [sys.executable, "-m", "insrobust", "classify", "--format", "jsonl", *mode]
+        calls = [(cli + ["--file", str(path)], b""), (cli, data)]
+        if data.count(b"\n") == 1:
+            calls.append((cli + [data.rstrip(b"\n")], b""))
+        results = {
+            (call.returncode, call.stdout, call.stderr)
+            for call in (
+                subprocess.run(argv, input=stdin, capture_output=True, env=child_env(), timeout=60)
+                for argv, stdin in calls
+            )
+        }
+        assert len(results) == 1
+        code, out, got_err = results.pop()
+        assert (code, got_err) == (0, err)
+        words = [json.loads(line)["word"] for line in out.splitlines()]
+        assert words == (unicode_words if unicode_mode else byte_words)
 
     def test_non_ascii_bytes(self, capsys):
         # byte mode: "é" is the two symbols \xc3 \xa9
@@ -348,21 +383,37 @@ class TestTracedAttributes:
 
 class TestTracedRun:
     """The traced benchmark's recorder, run on tiny calls, finds every
-    attribute it wraps; it lists under "absent" each one it could not find."""
+    attribute it wraps (it lists under "absent" each one it could not find)
+    and writes the stdout of the untraced call."""
 
     @pytest.mark.parametrize(
-        "argv", [["classify", "aabaa"], ["census", "4", "2"], ["runs", "aab"]], ids=" ".join
+        "argv",
+        [
+            ["classify", "aabaa"],
+            ["classify", "--file", "WORDS", "--format", "jsonl"],  # the benchmark's form
+            ["census", "4", "2"],
+            ["runs", "aab"],
+        ],
+        ids=" ".join,
     )
     def test_traced_run_finds_every_attribute(self, tmp_path, argv):
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"aabaa\nabba\nabcab\n")
+        argv = [str(words) if arg == "WORDS" else arg for arg in argv]
         spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
         out = tmp_path / "spans.json"
-        proc = subprocess.run(
-            [sys.executable, str(spans), str(out), "--", *argv],
-            capture_output=True,
-            text=True,
-            timeout=60,
+        proc, untraced = (
+            subprocess.run(
+                [sys.executable, *launch, *argv],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+                timeout=60,
+            )
+            for launch in ([str(spans), str(out), "--"], ["-m", "insrobust"])
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == untraced.stdout
         trace = json.loads(out.read_text(encoding="utf-8"))
         assert trace["absent"] == []
         if argv[0] == "classify":
@@ -595,6 +646,7 @@ class TestParserBehavior:
             [sys.executable, "-m", "insrobust", "classify", "aab"],
             capture_output=True,
             text=True,
+            env=child_env(),
             timeout=60,
         )
         assert proc.returncode == 0
@@ -615,6 +667,7 @@ class TestParserBehavior:
             [sys.executable, "-c", wrapper, "count", "6", "2"],
             capture_output=True,
             text=True,
+            env=child_env(),
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -634,7 +687,7 @@ class TestParserBehavior:
             [sys.executable, "-c", script],
             capture_output=True,
             encoding="utf-8",
-            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+            env=child_env(PYTHONIOENCODING="utf-8"),
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -648,7 +701,11 @@ class TestParserBehavior:
     )
     def test_installed_entry_point_binary(self):
         proc = subprocess.run(
-            ["insrobust", "count", "6", "2"], capture_output=True, text=True, timeout=60
+            ["insrobust", "count", "6", "2"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
         )
         assert proc.returncode == 0
         assert "primitive\t54" in proc.stdout

@@ -1,13 +1,12 @@
 """Words and result records: immutable, hashable, picklable, same repr."""
 
 import copy
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from insrobust import (
     Alphabet,
@@ -22,7 +21,6 @@ from insrobust import (
 )
 
 AB = Alphabet("ab")
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _witness() -> InsertionWitness:
@@ -161,9 +159,12 @@ class TestStartup:
             "import insrobust.cli\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", script],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            check=True,
         ).stdout.split()
         assert "insrobust.cli" in out
         assert not {"dataclasses", "fractions", "statistics", "csv"} & set(out)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -151,7 +152,8 @@ def _lce_reads(monkeypatch, w: Word):
 
 
 class TestLceCount:
-    """Symbols matched by LCE queries stay linear on highly periodic words."""
+    """Symbols matched by LCE queries: linear on powers of a short root and on
+    words of long blocks, O(n log n) on Fibonacci prefixes."""
 
     @pytest.mark.parametrize("root, block_runs", [("a", []), ("ab", []), ("aab", [(0, 2, 1)])])
     def test_periodic_word_reads_linear(self, monkeypatch, root, block_runs):
@@ -175,6 +177,32 @@ class TestLceCount:
         assert tuples(runs) == {(0, n, k)} | {(t * k, k - 1, 1) for t in range(m)}
         # measured 3,250; extending every candidate forward reads about 219n
         assert matched <= 10 * n
+
+    def test_fibonacci_prefix_reads_n_log_n(self, monkeypatch):
+        # A query of a candidate of period p reads inside one maximal stretch
+        # of j with s[j] == s[j+p].  A stretch of p or more is a run: its first
+        # candidate finds it and the later ones are skipped.  A shorter one is
+        # read by at most one candidate per letter order, as two longest
+        # Lyndon words of one length under one order start p or more apart.
+        # So each period costs at most 2n reads.  The periods of a Fibonacci
+        # prefix's candidates are Fibonacci numbers (checked below); those
+        # from 2 to n, F_k >= phi^(k-1), number at most log_phi(n).  In all,
+        # 2n*log_phi(n) = c*n*log2(n) with c = 2 / log2(phi), about 2.88.
+        n = 20_000
+        shorter, longer = "a", "ab"
+        fibonacci = {1, 2}
+        while len(longer) < n:
+            shorter, longer = longer, longer + shorter
+            fibonacci.add(len(longer))
+        s = longer[:n]
+        for inverted in (False, True):
+            ends = repetitions_module._lyndon_ends(s, inverted)
+            assert {e - i for i, e in enumerate(ends) if e < n} <= fibonacci
+        runs, matched = _lce_reads(monkeypatch, bw(s))
+        assert {run.period for run in runs} <= fibonacci
+        # measured 11.6n, growing by about 2.3n per fourfold n
+        phi = (1 + math.sqrt(5)) / 2
+        assert matched <= 2 / math.log2(phi) * n * math.log2(n)
 
 
 class TestAgainstBruteforce:
