@@ -7,7 +7,8 @@ of a length, by construction, optionally listed or audited word by word),
 random words).
 
 Every word (argv, ``--file``, stdin) is read as bytes and decoded once: each
-byte is one symbol by default, and ``--unicode`` switches to codepoints.
+byte is one symbol by default, and ``--unicode`` switches to codepoints, a
+byte that is not UTF-8 being one symbol that stdout writes back as that byte.
 Exit codes: 0 success, 1 audit failure, 2 usage or input error, 3 budget
 exceeded, 141 stdout closed by its reader.  Every subcommand writes through
 one buffered stdout, also under ``python -u``, so a closed pipe always raises.
@@ -436,10 +437,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
+    # a byte that --unicode read as a surrogate escape is written back as that
+    # byte, whatever stdout's encoding
     if isinstance(getattr(out, "buffer", None), io.RawIOBase):
         # under python -u a write cut short by a closed pipe goes unreported;
         # a line-buffered writer retries it, and so raises BrokenPipeError
-        sys.stdout = open(out.fileno(), "w", 1, out.encoding, out.errors, closefd=False)
+        sys.stdout = open(out.fileno(), "w", 1, out.encoding, "surrogateescape", closefd=False)
+    elif hasattr(out, "reconfigure"):
+        out.reconfigure(errors="surrogateescape")
     args = _build_parser().parse_args(argv)
     handlers = {
         "classify": _cmd_classify,

@@ -12,7 +12,14 @@ Each candidate is pre-tested by comparing at most 2⌈p/2⌉ symbols, then by
 one symbol before it and one at the far end of the shortest run it could
 start, so most candidates that are not runs pay no LCE query.  On words of
 blocks of length k, such as (a^k b)^m, the LCE reads are O(n), and the Lyndon
-build still compares O(n·k) symbols, at C speed.  ``runs_bruteforce``
+build still compares O(n·k) symbols, at C speed.  Each letter order is
+searched on its own, with its own skip of the candidates inside the last run
+it found per period, and the run set is the union.  On a word of at least
+``_SPLIT_MIN`` (2^15) symbols, where ``os.fork`` exists, the affinity mask
+holds two or more CPUs and the process runs one thread, the inverted order
+is searched in one forked child that lives only for the call; each process
+then holds its own Lyndon array of n ints and its own runs, and shares the
+word copy-on-write.  ``runs_bruteforce``
 recomputes the run set from the definition for cross-validation, and
 ``maximal_periodicities`` relaxes the exponent-2 floor, which some insertion
 witnesses fall below.
@@ -20,6 +27,8 @@ witnesses fall below.
 
 from __future__ import annotations
 
+import marshal
+import os
 import re
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -108,6 +117,103 @@ def _lyndon_ends(s: str, inverted: bool) -> list[int]:
 # a maximal block of one letter, at least two long: the runs of period 1
 _LETTER_BLOCKS = re.compile(r"(.)\1+", re.DOTALL)
 
+# the fewest symbols for which the two letter orders are searched in two
+# processes: in-process on a 2-vCPU host, two processes took 1.06-1.17 times
+# as long as one at 2^14 symbols, and 0.62-1.02 times at 2^15
+_SPLIT_MIN = 1 << 15
+
+
+def _order_runs(s: str, inverted: bool) -> list[tuple[int, int, int]]:
+    # The (start, length, period) triples of the runs of period >= 2 whose
+    # Lyndon root is the longest Lyndon word at its start under one letter
+    # order.  A candidate inside the last run this order found with its period
+    # is skipped, since it would extend to that run again.
+    n = len(s)
+    found = []
+    last_end: dict[int, int] = {}  # period -> end of the last run found with it
+    for i, e in enumerate(_lyndon_ends(s, inverted)):
+        p = e - i
+        if p == 1 or e >= n or e <= last_end.get(p, 0):
+            continue
+        # fwd + back >= p needs fwd >= h or back >= h
+        h = (p + 1) // 2
+        if s[i : i + h] == s[e : e + h]:
+            matched = h
+        elif h <= i and s[i - h : i] == s[e - h : e]:
+            matched = 0
+        else:
+            continue
+        back = 0 if i == 0 or s[i - 1] != s[e - 1] else _lce_back(s, i, e, i, 1)
+        # a run needs fwd >= need = p - back, so s[i+need-1] == s[e+need-1];
+        # need >= 1, since a candidate with back >= p lies in a run whose
+        # first root under this order came earlier, and it was skipped above
+        need = p - back
+        if e + need > n or s[i + need - 1] != s[e + need - 1]:
+            continue
+        fwd = _lce(s, i, e, n - e, matched)
+        if fwd + back >= p:
+            found.append((i - back, p + fwd + back, p))
+            last_end[p] = e + fwd
+    return found
+
+
+def _one_thread() -> bool:
+    # a forked child of a threaded process can block on a lock another thread
+    # held; where the threads cannot be counted, assume there are more
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _split_taken(n: int) -> bool:
+    return (
+        n >= _SPLIT_MIN
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and _one_thread()
+    )
+
+
+def _two_order_runs(s: str) -> list[tuple[int, int, int]]:
+    # the inverted order's triples from a forked child, the other order's
+    # from this process meanwhile
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _order_runs(s, False) + _order_runs(s, True)
+    if pid == 0:  # the child leaves only by _exit: no inherited buffer is flushed
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(_order_runs(s, True)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            found = _order_runs(s, False)
+            data = pipe.read()
+    except BaseException:
+        from signal import SIGKILL  # not at module level: 1 ms of every start-up
+
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError(f"the inverted letter order's process exited with status {status}")
+    try:
+        return found + marshal.loads(data)
+    except (EOFError, ValueError):
+        raise RuntimeError("the inverted letter order's runs arrived cut short") from None
+
 
 def find_maximal_repetitions(w: Word) -> set[Run]:
     """All runs of ``w``, each reported once with its minimal period.
@@ -120,10 +226,22 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     by longest-common-extension (LCE) queries, and kept when the extension
     reaches length 2p.  A Lyndon word is primitive, so p is the minimal period
     (Fine and Wilf), and the extension is maximal by construction; no filter
-    is needed.  A candidate inside the last run found with its period is
-    skipped, since it would extend to that run again.  The runs of period 1
-    are the maximal letter blocks of length >= 2, found by one regular
-    expression pass, so no candidate of period 1 is extended.
+    is needed.  The two letter orders are searched apart, and the result is
+    the union of their runs: a candidate inside the last run found with its
+    period under its own order is skipped, since it would extend to that run
+    again.  The runs of period 1 are the maximal letter blocks of length >= 2,
+    found by one regular expression pass, so no candidate of period 1 is
+    extended.
+
+    The root candidates of one order never depend on the other, so on a word
+    of at least ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, the
+    affinity mask holds two or more CPUs and the process runs one thread, the
+    inverted order is searched in one forked child while this process
+    searches the other; else both run here, one after the other.  A call
+    starts at most one process, which ends before the call returns: if it
+    fails, this call raises ``RuntimeError``, and if this call raises first,
+    the child is killed and reaped.  Each process holds its own Lyndon array
+    of n ints and its own triples; the word is shared copy-on-write.
 
     Cost: building the Lyndon arrays takes one slice comparison of
     min(|u|, |v|) symbols per step.  Each candidate is then pre-tested: the
@@ -139,33 +257,12 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     reads O(n·k) symbols, at C speed.
     """
     s = w.chars
-    n = len(s)
     runs = {Run(m.start(), m.end() - m.start(), 1) for m in _LETTER_BLOCKS.finditer(s)}
-    last_end: dict[int, int] = {}  # period -> end of the last run found with it
-    for i, pair in enumerate(zip(_lyndon_ends(s, False), _lyndon_ends(s, True))):
-        for e in pair:
-            p = e - i
-            if p == 1 or e >= n or e <= last_end.get(p, 0):
-                continue
-            # fwd + back >= p needs fwd >= h or back >= h
-            h = (p + 1) // 2
-            if s[i : i + h] == s[e : e + h]:
-                matched = h
-            elif h <= i and s[i - h : i] == s[e - h : e]:
-                matched = 0
-            else:
-                continue
-            back = 0 if i == 0 or s[i - 1] != s[e - 1] else _lce_back(s, i, e, i, 1)
-            # a run needs fwd >= need = p - back, so s[i+need-1] == s[e+need-1];
-            # need >= 1, since a candidate with back >= p lies in a run whose
-            # first root came earlier, and it was skipped above
-            need = p - back
-            if e + need > n or s[i + need - 1] != s[e + need - 1]:
-                continue
-            fwd = _lce(s, i, e, n - e, matched)
-            if fwd + back >= p:
-                runs.add(Run(i - back, p + fwd + back, p))
-                last_end[p] = e + fwd
+    if _split_taken(len(s)):
+        triples = _two_order_runs(s)
+    else:
+        triples = _order_runs(s, False) + _order_runs(s, True)
+    runs.update(map(Run._make, triples))
     return runs
 
 

@@ -243,6 +243,38 @@ class TestInferenceAndValidation:
         )
         assert (call.returncode, call.stdout, call.stderr) == (0, expected, b"")
 
+    @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1:strict", "ascii:strict"])
+    @pytest.mark.parametrize(
+        "argv, stdin, expected",
+        [
+            (
+                ["classify", "--unicode"],
+                b"aab\nab\xff\nabba\n",
+                b"aab\tnon-ins-robust\tinsert b at 1 -> ab^2\n"
+                b"ab\xff\tins-robust\n"
+                b"abba\tins-robust\n",
+            ),
+            (
+                ["runs", "--unicode", b"a\xffa\xff"],
+                b"",
+                b"start\tlength\tperiod\texponent\n0\t4\t2\t2\n",
+            ),
+        ],
+        ids=["classify", "runs"],
+    )
+    def test_stray_byte_round_trips_under_every_encoding(self, argv, stdin, expected, encoding):
+        # under --unicode a byte that is not UTF-8 is one symbol, a surrogate
+        # escape, and stdout writes it back as that byte even where its own
+        # error handler is strict
+        call = subprocess.run(
+            [sys.executable, "-m", "insrobust", *argv],
+            input=stdin,
+            capture_output=True,
+            env=child_env(PYTHONIOENCODING=encoding),
+            timeout=60,
+        )
+        assert (call.returncode, call.stdout, call.stderr) == (0, expected, b"")
+
     @pytest.mark.parametrize("unicode_mode", [False, True], ids=["bytes", "unicode"])
     @pytest.mark.parametrize(
         "data, byte_words, unicode_words, err",

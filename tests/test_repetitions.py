@@ -1,11 +1,16 @@
+import marshal
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
 import pytest
-from conftest import BINARY, TERNARY, all_words
+from conftest import BINARY, TERNARY, all_words, child_env
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -131,8 +136,14 @@ class TestFindMaximalRepetitions:
         assert len(find_maximal_repetitions(bw(s))) < 10_000
 
 
+def _one_cpu(patch) -> None:
+    # the affinity of one CPU keeps both letter orders in this process
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 def _lce_reads(monkeypatch, w: Word):
-    # symbols matched by the forward and the backward LCE queries together
+    # symbols matched by the forward and the backward LCE queries together,
+    # both letter orders counted here, on the one-process path
     reads = []
 
     def counting(real):
@@ -145,6 +156,7 @@ def _lce_reads(monkeypatch, w: Word):
         return counted
 
     with monkeypatch.context() as patch:
+        _one_cpu(patch)
         for name in ("_lce", "_lce_back"):
             patch.setattr(repetitions_module, name, counting(getattr(repetitions_module, name)))
         runs = find_maximal_repetitions(w)
@@ -175,16 +187,18 @@ class TestLceCount:
         n = k * m
         runs, matched = _lce_reads(monkeypatch, bw(("a" * (k - 1) + "b") * m))
         assert tuples(runs) == {(0, n, k)} | {(t * k, k - 1, 1) for t in range(m)}
-        # measured 3,250; extending every candidate forward reads about 219n
+        # measured 6,499, as each letter order finds the run; extending every
+        # candidate forward reads about 219n
         assert matched <= 10 * n
 
     def test_fibonacci_prefix_reads_n_log_n(self, monkeypatch):
         # A query of a candidate of period p reads inside one maximal stretch
-        # of j with s[j] == s[j+p].  A stretch of p or more is a run: its first
-        # candidate finds it and the later ones are skipped.  A shorter one is
-        # read by at most one candidate per letter order, as two longest
-        # Lyndon words of one length under one order start p or more apart.
-        # So each period costs at most 2n reads.  The periods of a Fibonacci
+        # of j with s[j] == s[j+p].  A stretch of p or more is a run: the
+        # first candidate of each letter order finds it and the later ones of
+        # that order are skipped.  A shorter one is read by at most one
+        # candidate per letter order, as two longest Lyndon words of one
+        # length under one order start p or more apart.  So each period costs
+        # at most 2n reads.  The periods of a Fibonacci
         # prefix's candidates are Fibonacci numbers (checked below); those
         # from 2 to n, F_k >= phi^(k-1), number at most log_phi(n).  In all,
         # 2n*log_phi(n) = c*n*log2(n) with c = 2 / log2(phi), about 2.88.
@@ -200,7 +214,7 @@ class TestLceCount:
             assert {e - i for i, e in enumerate(ends) if e < n} <= fibonacci
         runs, matched = _lce_reads(monkeypatch, bw(s))
         assert {run.period for run in runs} <= fibonacci
-        # measured 11.6n, growing by about 2.3n per fourfold n
+        # measured 12.1n, growing by about 2.3n per fourfold n
         phi = (1 + math.sqrt(5)) / 2
         assert matched <= 2 / math.log2(phi) * n * math.log2(n)
 
@@ -325,6 +339,177 @@ class TestScalePins:
     )
     def test_exact_run_set(self, chars, expected):
         assert tuples(find_maximal_repetitions(bw(chars))) == expected
+
+
+_SPLIT_N = repetitions_module._SPLIT_MIN + 3000
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and os.path.isdir("/proc/self/task")),
+    reason="the two-process split needs os.fork and a countable thread list",
+)
+
+
+def _split_words() -> list:
+    rng = random.Random(23)
+    words = [
+        (f"{symbols}-{seed}", "".join(random.Random(seed).choices(symbols, k=_SPLIT_N)))
+        for symbols in ("ab", "abc")
+        for seed in (1, 2)
+    ]
+    words.append(("fibonacci", _fibonacci_prefix(_SPLIT_N)))
+    words.append(("(a^999 b)^100", ("a" * 999 + "b") * 100))
+    astral = "\U0001f600\U0001f601a"
+    words.append(("astral", "".join(rng.choices(astral, k=_SPLIT_N))))
+    return [
+        pytest.param(Word(chars, Alphabet("".join(sorted(set(chars))))), id=name)
+        for name, chars in words
+    ]
+
+
+@needs_fork
+class TestTwoProcessSplit:
+    """Above ``_SPLIT_MIN`` symbols the inverted letter order is searched in a
+    forked child; the run set is that of one process, and no child outlives
+    the call."""
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("w", _split_words())
+    def test_two_processes_equal_one(self, monkeypatch, w):
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(os, "fork", counted_fork)
+            split = find_maximal_repetitions(w)
+        assert len(forks) == 1
+        self._no_child_left()
+        with monkeypatch.context() as patch:
+            _one_cpu(patch)
+            one = find_maximal_repetitions(w)
+        assert split == one
+        assert all(type(run) is Run for run in split)
+
+    def test_failing_child_raises_and_is_reaped(self, monkeypatch):
+        real = repetitions_module._order_runs
+
+        def inverted_fails(s, inverted):
+            if inverted:  # in the child
+                raise MemoryError
+            return real(s, inverted)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(repetitions_module, "_order_runs", inverted_fails)
+            with pytest.raises(RuntimeError):
+                find_maximal_repetitions(bw("ab" * _SPLIT_N))
+        self._no_child_left()
+
+    def test_child_exit_status_is_checked(self, monkeypatch):
+        # the child sends all its triples, then exits 3
+        real_exit = os._exit
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(os, "_exit", lambda code: real_exit(3))
+            with pytest.raises(RuntimeError, match="status 3"):
+                find_maximal_repetitions(bw("ab" * _SPLIT_N))
+        self._no_child_left()
+
+    def test_short_child_data_raises(self, monkeypatch):
+        # the child exits 0 after sending all but the last bytes of its triples
+        real_dumps = marshal.dumps
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(marshal, "dumps", lambda value: real_dumps(value)[:-3])
+            with pytest.raises(RuntimeError, match="cut short"):
+                find_maximal_repetitions(bw("ab" * _SPLIT_N))
+        self._no_child_left()
+
+    def test_failing_parent_kills_and_reaps_the_child(self, monkeypatch):
+        real = repetitions_module._order_runs
+
+        def parent_fails(s, inverted):
+            if not inverted:
+                raise KeyError("parent")
+            return real(s, inverted)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(repetitions_module, "_order_runs", parent_fails)
+            with pytest.raises(KeyError, match="parent"):
+                find_maximal_repetitions(bw("ab" * _SPLIT_N))
+        self._no_child_left()
+
+    def test_failed_fork_searches_both_orders_here(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("fork")
+
+        w = bw(_fibonacci_prefix(_SPLIT_N))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(os, "fork", no_fork)
+            runs = find_maximal_repetitions(w)
+        with monkeypatch.context() as patch:
+            _one_cpu(patch)
+            assert runs == find_maximal_repetitions(w)
+
+    def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        w = bw(_fibonacci_prefix(_SPLIT_N))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", refuse)
+            _one_cpu(patch)
+            one_cpu = find_maximal_repetitions(w)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            release = threading.Event()
+            thread = threading.Thread(target=release.wait)
+            thread.start()
+            try:
+                threaded = find_maximal_repetitions(w)
+            finally:
+                release.set()
+                thread.join()
+        assert one_cpu == threaded
+        assert len(one_cpu) > _SPLIT_N // 2
+
+    def test_below_the_threshold_never_forks(self, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        w = bw(_fibonacci_prefix(repetitions_module._SPLIT_MIN - 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(os, "fork", refuse)
+            assert find_maximal_repetitions(w)
+
+    def test_unflushed_stdout_is_written_once(self):
+        # the child leaves by os._exit, so a line this process buffered
+        # before the call reaches stdout only from here
+        script = (
+            "import os, sys\n"
+            "from insrobust import Alphabet, Word, find_maximal_repetitions\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "real_fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "sys.stdout.write('before\\n')\n"
+            f"runs = find_maximal_repetitions(Word('ab' * {_SPLIT_N}, Alphabet('ab')))\n"
+            "print(len(forks), sorted(runs))\n"
+        )
+        call = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=child_env(), timeout=60
+        )
+        assert (call.returncode, call.stderr) == (0, b"")
+        assert call.stdout == f"before\n1 [Run(start=0, length={2 * _SPLIT_N}, period=2)]\n".encode()
 
 
 class TestRunsBruteforce:
