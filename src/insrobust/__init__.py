@@ -17,7 +17,6 @@ from .classify import (
     classify_oracle,
     density_extension,
     eligible_periods,
-    is_ins_robust_runs_only,
     non_ins_robust_decomposition,
 )
 from .counting import (
@@ -75,7 +74,6 @@ __all__ = [
     "eligible_periods",
     "find_maximal_repetitions",
     "insert",
-    "is_ins_robust_runs_only",
     "is_primitive",
     "maximal_periodicities",
     "non_ins_robust_decomposition",

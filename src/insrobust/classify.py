@@ -32,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .repetitions import _lce, _lce_back, find_maximal_repetitions
+from .repetitions import _lce, _lce_back
 from .words import Word, _prime_factorization, _root_length, insert, primitive_root
 
 
@@ -217,21 +217,9 @@ def classify_fast(w: Word) -> Classification:
     )
 
 
-def _collapsing_insertions(s: str, symbols: str) -> Iterator[tuple[int, str, int]]:
-    """Each (position, letter, root length) whose insertion into ``s`` gives
-    a proper power, in (position, alphabet) order."""
-    n = len(s)
-    for position in range(n + 1):
-        head, tail = s[:position], s[position:]
-        for letter in symbols:
-            x = head + letter + tail
-            er = (x + x).find(x, 1)
-            if er < n + 1:
-                yield position, letter, er
-
-
 def classify_oracle(w: Word) -> Classification:
-    """Classify ``w`` by trying every insertion; lists every witness found.
+    """Classify ``w`` by trying every insertion; lists every witness found,
+    in (position, alphabet) order.
 
     O(n^2 · k) reference implementation — the ground truth the fast
     classifier is validated against, never the hot path.  Its root lengths
@@ -244,50 +232,18 @@ def classify_oracle(w: Word) -> Classification:
     r = (s + s).find(s, 1)
     if r < n:
         return Classification.non_primitive(Word(s[:r], w.alphabet), n // r)
-    witnesses = tuple(
-        InsertionWitness(
-            position=position,
-            letter=letter,
-            root=Word((s[:position] + letter + s[position:])[:er], w.alphabet),
-            power=(n + 1) // er,
-        )
-        for position, letter, er in _collapsing_insertions(s, w.alphabet.symbols)
-    )
+    witnesses = []
+    for position in range(n + 1):
+        head, tail = s[:position], s[position:]
+        for letter in w.alphabet.symbols:
+            x = head + letter + tail
+            er = (x + x).find(x, 1)
+            if er <= n:  # x is a proper power
+                root = Word(x[:er], w.alphabet)
+                witnesses.append(InsertionWitness(position, letter, root, (n + 1) // er))
     if witnesses:
-        return Classification.non_ins_robust(witnesses)
+        return Classification.non_ins_robust(tuple(witnesses))
     return Classification.ins_robust()
-
-
-def is_ins_robust_runs_only(w: Word) -> bool:
-    """Decide robustness from the runs of ww alone, by two literal gates.
-
-    Gate one treats any run whose period divides |w| (period < |w|) as proof
-    of non-primitivity; gate two treats any run with period p <= |w|,
-    p dividing |w|+1 and length >= |w| as proof of fragility.  Both gates are
-    kept exactly as stated, and both are wrong in places:
-
-    - gate one also fires on short interior runs of primitive words, so the
-      ins-robust "abba" is rejected for its "bb" (``test_09a``);
-    - gate two misses fragile words whose witness factor has exponent below
-      2, since such a factor is not a run.  For "aab" (witness factor "aba")
-      gate one fires first on the run "aa", so the checker still returns
-      False (``test_pinned_fixtures``).  Where gate one is silent the checker
-      accepts a non-ins-robust word; the shortest such words have length 5,
-      e.g. "abcab", where inserting "c" at 5 gives (abc)^2 (``test_09b``).
-      No binary word of length <= 12 is wrongly accepted.
-
-    ``classify_fast`` is the corrected decision procedure.
-    """
-    _require_classifiable(w)
-    s = w.chars
-    n = len(s)
-    for run in find_maximal_repetitions(Word(s + s, w.alphabet)):
-        p = run.period
-        if n % p == 0 and p < n:
-            return False
-        if p <= n and (n + 1) % p == 0 and run.length >= n:
-            return False
-    return True
 
 
 def density_extension(w: Word) -> str:
@@ -344,9 +300,3 @@ def _fast_verdict_chars(s: str) -> Verdict:
     hit = next(_maximal_hits(s), None)
     return Verdict.INS_ROBUST if hit is None else Verdict.NON_INS_ROBUST
 
-
-def _oracle_verdict_chars(s: str, symbols: str) -> Verdict:
-    if (s + s).find(s, 1) < len(s):
-        return Verdict.NON_PRIMITIVE
-    hit = next(_collapsing_insertions(s, symbols), None)
-    return Verdict.INS_ROBUST if hit is None else Verdict.NON_INS_ROBUST

@@ -8,7 +8,7 @@ random words).
 
 Every word (argv, ``--file``, stdin) is read as bytes and decoded once: each
 byte is one symbol by default, and ``--unicode`` switches to codepoints, a
-byte that is not UTF-8 being one symbol that stdout writes back as that byte.
+byte that is not UTF-8 being one symbol.  Output echoes each word's bytes.
 Exit codes: 0 success, 1 audit failure, 2 usage or input error, 3 budget
 exceeded, 141 stdout closed by its reader.  Every subcommand writes through
 one buffered stdout, also under ``python -u``, so a closed pipe always raises.
@@ -436,16 +436,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    out = sys.stdout
-    # a byte that --unicode read as a surrogate escape is written back as that
-    # byte, whatever stdout's encoding
+    args = _build_parser().parse_args(argv)
+    # every symbol is written back in the codec _symbols_of read it with, so
+    # a word echoes as its input bytes, whatever stdout's encoding
+    codec = "utf-8" if getattr(args, "unicode", False) else "latin-1"
+    out, restore = sys.stdout, None
     if isinstance(getattr(out, "buffer", None), io.RawIOBase):
         # under python -u a write cut short by a closed pipe goes unreported;
         # a line-buffered writer retries it, and so raises BrokenPipeError
-        sys.stdout = open(out.fileno(), "w", 1, out.encoding, "surrogateescape", closefd=False)
+        sys.stdout = open(out.fileno(), "w", 1, codec, "surrogateescape", closefd=False)
     elif hasattr(out, "reconfigure"):
-        out.reconfigure(errors="surrogateescape")
-    args = _build_parser().parse_args(argv)
+        restore = {"encoding": out.encoding, "errors": out.errors}
+        out.reconfigure(encoding=codec, errors="surrogateescape")
     handlers = {
         "classify": _cmd_classify,
         "runs": _cmd_runs,
@@ -461,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         # later writes, and the flush at exit, go to devnull, so no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
@@ -470,6 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    finally:  # an in-process caller gets its stdout back as it was
+        sys.stdout = out
+        if restore:
+            out.reconfigure(**restore)

@@ -31,11 +31,11 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, NamedTuple
 
-from .classify import Verdict, _fast_verdict_chars, _oracle_verdict_chars
+from .classify import Verdict, _fast_verdict_chars, classify_oracle
 
 # not called here; the traced benchmark (perfbench/spans.py) wraps counting.eligible_periods
 from .classify import eligible_periods  # noqa: F401
-from .words import Alphabet, _prime_factorization
+from .words import Alphabet, Word, _prime_factorization
 
 DEFAULT_CENSUS_BUDGET = 1 << 24
 
@@ -140,7 +140,7 @@ def _constructed_counts(n: int, k: int, classes: set[str]) -> dict[Verdict, int]
 
 
 def _enumerate(
-    symbols: str, n: int, classes: set[str], list_words: bool, audit: bool
+    alphabet: Alphabet, n: int, classes: set[str], list_words: bool, audit: bool
 ) -> tuple[dict[Verdict, int], dict[Verdict, tuple[str, ...]] | None]:
     # each word's verdict comes from the construction; an audit also asks the
     # fast classifier and the insertion oracle.  Primitivity is tested with
@@ -151,7 +151,7 @@ def _enumerate(
     words: dict[Verdict, list[str]] | None
     words = {v: [] for v in Verdict} if list_words else None
     mismatches: list[tuple[str, Verdict, Verdict, Verdict]] = []
-    for letters in itertools.product(symbols, repeat=n):
+    for letters in itertools.product(alphabet.symbols, repeat=n):
         s = "".join(letters)
         if (s + s).find(s, 1) < n:
             verdict = Verdict.NON_PRIMITIVE
@@ -161,7 +161,7 @@ def _enumerate(
             verdict = Verdict.INS_ROBUST
         if audit:
             fast = _fast_verdict_chars(s)
-            oracle = _oracle_verdict_chars(s, symbols)
+            oracle = classify_oracle(Word(s, alphabet)).verdict
             if fast is not verdict or oracle is not verdict:
                 mismatches.append((s, verdict, fast, oracle))
         counts[verdict] += 1
@@ -211,12 +211,11 @@ def census(
             f"census of {total} words exceeds the budget of {budget};"
             " raise the budget to proceed"
         )
-    symbols = alphabet.symbols
-    classes = _fragile_classes(n, symbols)
+    classes = _fragile_classes(n, alphabet.symbols)
     counts = constructed = _constructed_counts(n, k, classes)
     words_map = None
     if list_words or audit_oracle:
-        counts, words_map = _enumerate(symbols, n, classes, list_words, audit_oracle)
+        counts, words_map = _enumerate(alphabet, n, classes, list_words, audit_oracle)
     if audit_oracle and constructed != counts:
         shown = ", ".join(
             f"{verdict.value} {constructed[verdict]} != {counts[verdict]}"

@@ -193,6 +193,11 @@ def _two_order_runs(s: str) -> list[tuple[int, int, int]]:
             with open(write_end, "wb") as pipe:
                 pipe.write(marshal.dumps(_order_runs(s, True)))
             code = 0
+        except BaseException:
+            from traceback import format_exc
+
+            # straight to fd 2: sys.stderr's buffer may hold the parent's text
+            os.write(2, format_exc().encode("utf-8", "backslashreplace"))
         finally:
             os._exit(code)
     os.close(write_end)

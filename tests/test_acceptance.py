@@ -25,7 +25,6 @@ from insrobust import (
     count_report,
     eligible_periods,
     find_maximal_repetitions,
-    is_ins_robust_runs_only,
     is_primitive,
     non_ins_robust_decomposition,
     reverse,
@@ -51,6 +50,19 @@ def _timed(w: Word) -> float:
 
 def bw(chars: str) -> Word:
     return Word(chars, BINARY)
+
+
+# The two gates of a decision from the runs of ww alone, each a (start,
+# length, period) set: no such decision can be right (test_09a, test_09b).
+def gate_one(n: int, runs: set[tuple[int, int, int]]) -> bool:
+    """Rejects w as non-primitive: some run's period properly divides |w|."""
+    return any(n % p == 0 and p < n for _, _, p in runs)
+
+
+def gate_two(n: int, runs: set[tuple[int, int, int]]) -> bool:
+    """Rejects w as fragile: some run of length >= |w| has a period p <= |w|
+    dividing |w| + 1."""
+    return any(p <= n and (n + 1) % p == 0 and length >= n for _, length, p in runs)
 
 
 class TestAcceptance:
@@ -223,30 +235,24 @@ class TestAcceptance:
         )
 
     def test_09a_runs_only_checker_rejects_abba(self):
+        abba_runs = {run.as_tuple() for run in find_maximal_repetitions(bw("abbaabba"))}
         diverged = (
-            is_ins_robust_runs_only(bw("abba")) is False
+            gate_one(4, abba_runs)
             and classify_oracle(bw("abba")).verdict is Verdict.INS_ROBUST
         )
         _report(
             "09a runs-only checker rejects robust 'abba' (known divergence)",
             diverged,
-            "checker False vs oracle ins-robust",
+            f"gate one fires on the runs {sorted(abba_runs)} vs oracle ins-robust",
         )
 
     def test_09b_runs_only_checker_accepts_aab(self):
         # Gate two's blind spot: a fragile word whose witness factor has
         # exponent below 2 is not a run, so gate two cannot see it.  "aab" is
         # fragile (insert b at 1 -> (ab)^2), but the factor "aba" of "aabaab"
-        # has exponent 3/2, and no run of "aabaab" passes gate two.  The
-        # checker still returns False for "aab" because gate one fires on the
-        # run "aa" (pinned in test_classify).  On "abcab" both gates are
-        # silent, so the checker itself accepts a non-ins-robust word.
-        def gate_one(n: int, runs: set[tuple[int, int, int]]) -> bool:
-            return any(n % p == 0 and p < n for _, _, p in runs)
-
-        def gate_two(n: int, runs: set[tuple[int, int, int]]) -> bool:
-            return any(p <= n and (n + 1) % p == 0 and length >= n for _, length, p in runs)
-
+        # has exponent 3/2, and no run of "aabaab" passes gate two; gate one
+        # fires on the run "aa".  On "abcab" both gates are silent, so a
+        # runs-only decision accepts a non-ins-robust word.
         aab = bw("aab")
         aab_runs = {run.as_tuple() for run in find_maximal_repetitions(bw("aabaab"))}
         aab_witnesses = classify_oracle(aab).witnesses
@@ -264,12 +270,10 @@ class TestAcceptance:
             run.as_tuple() for run in find_maximal_repetitions(Word("abcababcab", TERNARY))
         }
         abcab_oracle = classify_oracle(abcab)
-        value = is_ins_robust_runs_only(abcab)
+        both_silent = not gate_one(5, abcab_runs) and not gate_two(5, abcab_runs)
         diverged = (
-            value is True
+            both_silent
             and abcab_runs == {(0, 10, 5), (3, 4, 2)}
-            and not gate_one(5, abcab_runs)
-            and not gate_two(5, abcab_runs)
             and abcab_oracle.verdict is Verdict.NON_INS_ROBUST
             and any(
                 wit.position == 5 and wit.letter == "c" and wit.root.chars == "abc"
@@ -280,7 +284,7 @@ class TestAcceptance:
             "09b runs-only checker accepts fragile words (known divergence)",
             gate_two_blind and diverged,
             f"gate two silent on 'aab': {gate_two_blind}; "
-            f"checker returned {value} for non-ins-robust 'abcab'",
+            f"both gates silent on non-ins-robust 'abcab': {both_silent}",
         )
 
     def test_10_fast_classifier_performance(self):

@@ -25,7 +25,6 @@ from insrobust import (
     density_extension,
     eligible_periods,
     insert,
-    is_ins_robust_runs_only,
     is_primitive,
     non_ins_robust_decomposition,
     primitive_root,
@@ -199,25 +198,6 @@ class TestCyclicForm:
                 continue
             fragile = classify_fast(w).verdict is Verdict.NON_INS_ROBUST
             assert fragile == _has_cyclic_power_form(w), w.chars
-
-
-class TestRunsOnlyChecker:
-    """Pins the literal behavior of the runs-gate decision procedure.
-
-    The non-primitivity gate fires on every run whose period divides the
-    word length, so any word whose doubling contains a period-1 run comes
-    back False regardless of its true classification.
-    """
-
-    def test_pinned_fixtures(self):
-        assert is_ins_robust_runs_only(bw("abba")) is False
-        assert is_ins_robust_runs_only(bw("aab")) is False
-        assert is_ins_robust_runs_only(bw("aabaa")) is False
-        assert is_ins_robust_runs_only(bw("ab")) is True
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            is_ins_robust_runs_only(Word("", BINARY))
 
 
 class TestDensityExtension:

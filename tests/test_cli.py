@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from conftest import child_env
 from insrobust.cli import _inferred_symbols, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def _console_script(name):
@@ -259,13 +262,34 @@ class TestInferenceAndValidation:
                 b"",
                 b"start\tlength\tperiod\texponent\n0\t4\t2\t2\n",
             ),
+            # byte mode: "\xc3\xa9" (UTF-8 "é") is two symbols, echoed as its two bytes
+            (
+                ["classify", b"\xc3\xa9a", b"a\xc3\xa9", b"\xc3\xa9\xc3\xa9a"],
+                b"",
+                b"\xc3\xa9a\tins-robust\n"
+                b"a\xc3\xa9\tins-robust\n"
+                b"\xc3\xa9\xc3\xa9a\tnon-ins-robust\tinsert a at 2 -> \xc3\xa9a^2\n",
+            ),
+            (
+                ["classify", b"\xc3\xa9a", b"a\xc3\xa9", "--alphabet", b"a\xc3\xa9"],
+                b"",
+                b"\xc3\xa9a\tins-robust\na\xc3\xa9\tins-robust\n",
+            ),
+            (
+                ["classify"],
+                b"aab\n\xc3\xa9a\nab\xff\n",
+                b"aab\tnon-ins-robust\tinsert b at 1 -> ab^2\n"
+                b"\xc3\xa9a\tins-robust\n"
+                b"ab\xff\tins-robust\n",
+            ),
         ],
-        ids=["classify", "runs"],
+        ids=["classify", "runs", "bytes-argv", "bytes-alphabet", "bytes-stdin"],
     )
     def test_stray_byte_round_trips_under_every_encoding(self, argv, stdin, expected, encoding):
-        # under --unicode a byte that is not UTF-8 is one symbol, a surrogate
-        # escape, and stdout writes it back as that byte even where its own
-        # error handler is strict
+        # stdout writes each symbol back in the codec it was read with, even
+        # where its own error handler is strict: in byte mode each symbol is
+        # its byte, and under --unicode a byte that is not UTF-8 is one
+        # symbol, a surrogate escape
         call = subprocess.run(
             [sys.executable, "-m", "insrobust", *argv],
             input=stdin,
@@ -319,17 +343,17 @@ class TestInferenceAndValidation:
         assert words == (unicode_words if unicode_mode else byte_words)
 
     def test_non_ascii_bytes(self, capsys):
-        # byte mode: "é" is the two symbols \xc3 \xa9
-        code, out, err = run_cli(capsys, "classify", "éa", "aé", "ééa")
+        # byte mode: "é" is the two symbols \xc3 \xa9; human output echoes
+        # them as their bytes (test_stray_byte_round_trips_under_every_encoding)
+        stdout = (sys.stdout, sys.stdout.encoding, sys.stdout.errors)
+        code, out, err = run_cli(capsys, "classify", "éa", "aé", "--format", "jsonl")
         assert (code, err) == (0, "")
+        # main gives an in-process caller its stdout back as it was
+        assert (sys.stdout, sys.stdout.encoding, sys.stdout.errors) == stdout
         assert out == (
-            "\xc3\xa9a\tins-robust\n"
-            "a\xc3\xa9\tins-robust\n"
-            "\xc3\xa9\xc3\xa9a\tnon-ins-robust\tinsert a at 2 -> \xc3\xa9a^2\n"
+            '{"word":"\\u00c3\\u00a9a","verdict":"ins-robust"}\n'
+            '{"word":"a\\u00c3\\u00a9","verdict":"ins-robust"}\n'
         )
-        code, out, err = run_cli(capsys, "classify", "éa", "aé", "--alphabet", "aé")
-        assert (code, err) == (0, "")
-        assert out == "\xc3\xa9a\tins-robust\na\xc3\xa9\tins-robust\n"
         assert run_cli(capsys, "classify", "éa", "--alphabet", "ab") == (
             2,
             "",
@@ -920,7 +944,7 @@ class TestRecordWriter:
         ids=["classify-surrogate", "census-list", "runs", "count-csv"],
     )
     def test_same_bytes_on_both_stdout_layers(self, argv):
-        # the buffered writer put under unbuffered stdout keeps its encoding
+        # the buffered writer put under unbuffered stdout has the same codec
         # and error handler: b"\xff" round-trips as a surrogate escape
         calls = [
             subprocess.run(
@@ -936,3 +960,38 @@ class TestRecordWriter:
         assert unbuffered == buffered
         if argv[0] == "classify":
             assert buffered[1] == b"\xffa\tins-robust\n"
+
+
+def _readme_examples():
+    """Each ``$ insrobust ...`` call in README's text blocks but ``bench``,
+    whose output is timings, with the lines shown after it."""
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", README.read_text("utf-8"), re.M | re.S):
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("$ insrobust "):
+                shown = []
+                examples.append((shlex.split(line)[2:], shown))
+            elif line and shown is not None:
+                shown.append(line)
+    return [
+        pytest.param(argv, shown, id=" ".join(argv))
+        for argv, shown in examples
+        if argv[0] != "bench"
+    ]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv, shown", _readme_examples())
+    def test_example_output(self, argv, shown):
+        # README aligns columns with spaces where the CLI writes tabs
+        call = subprocess.run(
+            [sys.executable, "-m", "insrobust", *argv],
+            capture_output=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert (call.returncode, call.stderr) == (0, b"")
+        assert [line.split() for line in call.stdout.decode().splitlines()] == [
+            line.split() for line in shown
+        ]

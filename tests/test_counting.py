@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from insrobust import (
     Alphabet,
     BudgetExceededError,
+    Classification,
     Verdict,
     Word,
     census,
@@ -246,8 +247,13 @@ class TestFragileByConstruction:
             err = capsys.readouterr().err
             assert f"{lost!r} constructed=ins-robust fast=non-ins-robust" in err
 
-        # the audit still checks the fast classifier, not only the oracle
-        with monkeypatch.context() as patch:
-            patch.setattr(counting, "_fast_verdict_chars", lambda s: Verdict.INS_ROBUST)
-            assert main(["census", "8", "2", "--oracle"]) == 1
-            assert "fast=ins-robust oracle=non-" in capsys.readouterr().err
+        # the audit checks both classifiers: each one's wrong verdict is reported
+        wrong_verdicts = [
+            ("_fast_verdict_chars", lambda s: Verdict.INS_ROBUST, "fast=ins-robust oracle=non-"),
+            ("classify_oracle", lambda w: Classification.ins_robust(), "oracle=ins-robust"),
+        ]
+        for name, wrong, shown in wrong_verdicts:
+            with monkeypatch.context() as patch:
+                patch.setattr(counting, name, wrong)
+                assert main(["census", "8", "2", "--oracle"]) == 1
+                assert shown in capsys.readouterr().err

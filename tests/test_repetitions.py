@@ -398,12 +398,12 @@ class TestTwoProcessSplit:
         assert split == one
         assert all(type(run) is Run for run in split)
 
-    def test_failing_child_raises_and_is_reaped(self, monkeypatch):
+    def test_failing_child_raises_and_is_reaped(self, monkeypatch, capfd):
         real = repetitions_module._order_runs
 
         def inverted_fails(s, inverted):
             if inverted:  # in the child
-                raise MemoryError
+                raise MemoryError("child ran out")
             return real(s, inverted)
 
         with monkeypatch.context() as patch:
@@ -412,6 +412,8 @@ class TestTwoProcessSplit:
             with pytest.raises(RuntimeError):
                 find_maximal_repetitions(bw("ab" * _SPLIT_N))
         self._no_child_left()
+        # the child's traceback reaches stderr
+        assert "MemoryError: child ran out" in capfd.readouterr().err
 
     def test_child_exit_status_is_checked(self, monkeypatch):
         # the child sends all its triples, then exits 3
