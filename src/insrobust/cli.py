@@ -165,14 +165,13 @@ def _cmd_classify(args) -> int:
         symbols = _symbols_of(os.fsencode(args.alphabet), args.unicode)
     else:
         symbols = _inferred_symbols(texts)
-        if len(symbols) < 2:
-            raise CliError(
-                "inferred alphabet has fewer than two symbols;"
-                " pass --alphabet to widen it"
-            )
     # main reports a ValueError of Alphabet or Word as a usage error
     alphabet = Alphabet(symbols)
     if len(alphabet) < 2:
+        if args.alphabet is None:
+            raise CliError(
+                "inferred alphabet has fewer than two symbols; pass --alphabet to widen it"
+            )
         raise CliError("alphabet must contain at least two symbols")
     classifier = classify_oracle if args.oracle else classify_fast
     records = (
@@ -186,7 +185,7 @@ def _cmd_runs(args) -> int:
     text = _symbols_of(os.fsencode(args.word), args.unicode)
     rows = []
     if text:
-        word = Word(text, Alphabet("".join(sorted(set(text)))))
+        word = Word(text, Alphabet(_inferred_symbols([text])))
         # a run's start and length fix its period: this is (start, length) order
         rows = sorted(find_maximal_repetitions(word))
     # runs keeps its own line writer rather than _emit: a dict per run
@@ -227,8 +226,6 @@ def _census_lines(record: dict):
 
 
 def _cmd_census(args) -> int:
-    if args.n < 1:
-        raise CliError("census requires a word length n >= 1")
     if not 2 <= args.k <= 26:
         raise CliError("census alphabet size must be between 2 and 26 (letters a..z)")
     if args.format == "csv" and args.list:

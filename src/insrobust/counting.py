@@ -205,10 +205,10 @@ def census(
     if len(alphabet) < 2:
         raise ValueError("census requires an alphabet with at least two symbols")
     k = len(alphabet)
-    total = k**n
-    if budget is not None and total > budget:
+    # k^n is named, not printed: it can pass Python's int-to-str digit limit
+    if budget is not None and k**n > budget:
         raise BudgetExceededError(
-            f"census of {total} words exceeds the budget of {budget};"
+            f"census of {k}^{n} words exceeds the budget of {budget};"
             " raise the budget to proceed"
         )
     classes = _fragile_classes(n, alphabet.symbols)

@@ -2,27 +2,15 @@
 
 A run is a factor whose exponent (length over minimal period) is at least 2
 and which cannot be extended by one symbol in either direction without
-strictly increasing its minimal period.  ``find_maximal_repetitions`` computes
-the exact run set from Lyndon roots (the Runs Theorem of Bannai et al., SIAM
-J. Comput. 2017): one Lyndon array per letter order names a root candidate
-at each position, and longest-common-extension (LCE) queries extend it.  The
-runs of period 1 are the letter blocks, found by one regular-expression pass.
-The Lyndon arrays are built by slice comparisons of min(|u|, |v|) symbols.
-Each candidate is pre-tested by comparing at most 2⌈p/2⌉ symbols, then by
-one symbol before it and one at the far end of the shortest run it could
-start, so most candidates that are not runs pay no LCE query.  On words of
-blocks of length k, such as (a^k b)^m, the LCE reads are O(n), and the Lyndon
-build still compares O(n·k) symbols, at C speed.  Each letter order is
-searched on its own, with its own skip of the candidates inside the last run
-it found per period, and the run set is the union.  On a word of at least
-``_SPLIT_MIN`` (2^15) symbols, where ``os.fork`` exists, the affinity mask
-holds two or more CPUs and the process runs one thread, the inverted order
-is searched in one forked child that lives only for the call; each process
-then holds its own Lyndon array of n ints and its own runs, and shares the
-word copy-on-write.  ``runs_bruteforce``
-recomputes the run set from the definition for cross-validation, and
-``maximal_periodicities`` relaxes the exponent-2 floor, which some insertion
-witnesses fall below.
+strictly increasing its minimal period.  The module holds:
+
+- ``find_maximal_repetitions``, the exact run set from Lyndon roots; its
+  docstring gives the method, the two-process split and the cost;
+- ``maximal_periodicities``, the O(n^2) definition-chasing scan for the
+  maximal periodic factors of exponent at least a floor above 1 (some
+  insertion witnesses fall below 2); ``runs_bruteforce`` is it at floor 2;
+- ``_lce`` and ``_lce_back``, the forward and backward longest-common-
+  extension queries, which ``classify`` uses too.
 """
 
 from __future__ import annotations
@@ -271,24 +259,30 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     return runs
 
 
-def _minimal_period_table(s: str) -> list[list[int]]:
-    # table[i][j - i] = minimal period of s[i..j] (inclusive); O(n^2) overall
-    # via one failure function per suffix.
-    table = []
-    for i in range(len(s)):
-        fail = _border(s[i:])
-        table.append([(m + 1) - fail[m] for m in range(len(fail))])
-    return table
+def maximal_periodicities(
+    w: Word, min_exponent, max_length: int = BRUTE_FORCE_BOUND
+) -> set[Run]:
+    """All maximal periodic factors with exponent >= ``min_exponent``.
 
+    Generalizes runs: witnesses of non-robustness can have exponent as low as
+    2 - 1/p, below the runs floor, so searches over that regime need this.
+    """
+    from fractions import Fraction
 
-def _maximal_periodicities_brute(s: str, min_exponent: Fraction) -> set[Run]:
+    floor = Fraction(min_exponent)
+    if floor <= 1:
+        raise ValueError("min_exponent must be greater than 1")
+    s = w.chars
     n = len(s)
-    table = _minimal_period_table(s)
+    if n > max_length:
+        raise ValueError(f"periodicity scan is limited to length {max_length}, got {n}")
+    # table[i][j - i] = minimal period of s[i..j] (inclusive); O(n^2) overall
+    # via one failure function per suffix
+    table = [[m + 1 - b for m, b in enumerate(_border(s[i:]))] for i in range(n)]
     # exponent threshold by cross-multiplication; keeps the hot loop integer-only
-    num, den = min_exponent.numerator, min_exponent.denominator
+    num, den = floor.numerator, floor.denominator
     found = set()
-    for i in range(n):
-        row = table[i]
+    for i, row in enumerate(table):
         for j in range(i + 1, n):
             p = row[j - i]
             if (j - i + 1) * den < num * p:
@@ -308,30 +302,4 @@ def runs_bruteforce(w: Word, max_length: int = BRUTE_FORCE_BOUND) -> set[Run]:
     per-suffix failure functions, and maximality is checked by comparing the
     minimal period of each one-symbol extension.
     """
-    if len(w.chars) > max_length:
-        raise ValueError(
-            f"brute-force run search is limited to length {max_length}, got {len(w.chars)}"
-        )
-    from fractions import Fraction
-
-    return _maximal_periodicities_brute(w.chars, Fraction(2))
-
-
-def maximal_periodicities(
-    w: Word, min_exponent, max_length: int = BRUTE_FORCE_BOUND
-) -> set[Run]:
-    """All maximal periodic factors with exponent >= ``min_exponent``.
-
-    Generalizes runs: witnesses of non-robustness can have exponent as low as
-    2 - 1/p, below the runs floor, so searches over that regime need this.
-    """
-    from fractions import Fraction
-
-    floor = Fraction(min_exponent)
-    if floor <= 1:
-        raise ValueError("min_exponent must be greater than 1")
-    if len(w.chars) > max_length:
-        raise ValueError(
-            f"periodicity scan is limited to length {max_length}, got {len(w.chars)}"
-        )
-    return _maximal_periodicities_brute(w.chars, floor)
+    return maximal_periodicities(w, 2, max_length)

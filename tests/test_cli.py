@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
+import insrobust
 from insrobust.cli import _inferred_symbols, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -575,9 +576,10 @@ class TestCensusCommand:
         assert code == 0
 
     def test_budget_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "census", "30", "2")
-        assert code == 3
-        assert "budget" in err
+        for n in ("30", "15000"):
+            code, _, err = run_cli(capsys, "census", n, "2")
+            assert code == 3
+            assert "budget" in err
 
     def test_custom_budget(self, capsys):
         code, _, err = run_cli(capsys, "census", "5", "2", "--budget", "10")
@@ -982,6 +984,21 @@ def _readme_examples():
 
 
 class TestReadmeExamples:
+    def test_entry_point_table_matches_exports(self):
+        # every exported function and class but the exceptions, the records
+        # of results and reports, and the constants is named in the table
+        records = {"Verdict", "Classification", "InsertionWitness", "CensusReport", "CountReport"}
+        exported = {
+            name
+            for name in insrobust.__all__
+            if callable(value := getattr(insrobust, name))
+            and not (isinstance(value, type) and issubclass(value, Exception))
+            and name not in records
+        }
+        text = README.read_text("utf-8")
+        table = re.search(r"^Entry points by module.*?\n\n(.*?)\n\n", text, re.M | re.S)
+        assert set(re.findall(r"`([A-Za-z_]\w*)`", table.group(1))) == exported
+
     @pytest.mark.parametrize("argv, shown", _readme_examples())
     def test_example_output(self, argv, shown):
         # README aligns columns with spaces where the CLI writes tabs

@@ -131,6 +131,9 @@ class TestCensus:
             census(30, BINARY)
         with pytest.raises(BudgetExceededError):
             census(5, BINARY, budget=10)
+        # k^n is named, not printed: 2^15000 has more digits than str(int) allows
+        with pytest.raises(BudgetExceededError, match=r"2\^15000"):
+            census(15000, BINARY)
         # a budget that exactly fits passes
         assert census(5, BINARY, budget=32).total == 32
 
