@@ -205,8 +205,10 @@ def census(
     if len(alphabet) < 2:
         raise ValueError("census requires an alphabet with at least two symbols")
     k = len(alphabet)
-    # k^n is named, not printed: it can pass Python's int-to-str digit limit
-    if budget is not None and k**n > budget:
+    # k^n is named, not printed: it can pass Python's int-to-str digit limit.
+    # As k >= 2, k^n >= 2^n > budget once n reaches the budget's bit length,
+    # so a long census is refused before k^n, of n·log2(k) bits, is computed
+    if budget is not None and (n >= budget.bit_length() or k**n > budget):
         raise BudgetExceededError(
             f"census of {k}^{n} words exceeds the budget of {budget};"
             " raise the budget to proceed"

@@ -4,8 +4,9 @@ A run is a factor whose exponent (length over minimal period) is at least 2
 and which cannot be extended by one symbol in either direction without
 strictly increasing its minimal period.  The module holds:
 
-- ``find_maximal_repetitions``, the exact run set from Lyndon roots; its
-  docstring gives the method, the two-process split and the cost;
+- ``find_maximal_repetitions``, the exact runs from Lyndon roots, as a list
+  in (start, length) order; its docstring gives the method, the
+  two-process split and the cost;
 - ``maximal_periodicities``, the O(n^2) definition-chasing scan for the
   maximal periodic factors of exponent at least a floor above 1 (some
   insertion witnesses fall below 2); ``runs_bruteforce`` is it at floor 2;
@@ -18,6 +19,7 @@ from __future__ import annotations
 import marshal
 import os
 import re
+from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple
 
 from .words import Word, _border
@@ -208,8 +210,9 @@ def _two_order_runs(s: str) -> list[tuple[int, int, int]]:
         raise RuntimeError("the inverted letter order's runs arrived cut short") from None
 
 
-def find_maximal_repetitions(w: Word) -> set[Run]:
-    """All runs of ``w``, each reported once with its minimal period.
+def find_maximal_repetitions(w: Word) -> list[Run]:
+    """All runs of ``w``, each once with its minimal period, in (start, length)
+    order.
 
     Runs by Lyndon roots (Bannai, I, Inenaga, Nakashima, Takeda and Tsuruta,
     "The 'Runs' Theorem", SIAM J. Comput. 46(5), 2017): every run of period p
@@ -250,19 +253,23 @@ def find_maximal_repetitions(w: Word) -> set[Run]:
     reads O(n·k) symbols, at C speed.
     """
     s = w.chars
-    runs = {Run(m.start(), m.end() - m.start(), 1) for m in _LETTER_BLOCKS.finditer(s)}
     if _split_taken(len(s)):
         triples = _two_order_runs(s)
     else:
         triples = _order_runs(s, False) + _order_runs(s, True)
-    runs.update(map(Run._make, triples))
-    return runs
+    triples += [(m.start(), m.end() - m.start(), 1) for m in _LETTER_BLOCKS.finditer(s)]
+    # each order's triples are mostly in order already, so timsort merges
+    # them; a run both orders find (one that ends at the word's end) is then
+    # two adjacent equal triples, and is kept once
+    triples.sort()
+    return [Run._make(triple) for triple, _ in groupby(triples)]
 
 
 def maximal_periodicities(
     w: Word, min_exponent, max_length: int = BRUTE_FORCE_BOUND
-) -> set[Run]:
-    """All maximal periodic factors with exponent >= ``min_exponent``.
+) -> list[Run]:
+    """All maximal periodic factors with exponent >= ``min_exponent``, in
+    (start, length) order.
 
     Generalizes runs: witnesses of non-robustness can have exponent as low as
     2 - 1/p, below the runs floor, so searches over that regime need this.
@@ -281,7 +288,7 @@ def maximal_periodicities(
     table = [[m + 1 - b for m, b in enumerate(_border(s[i:]))] for i in range(n)]
     # exponent threshold by cross-multiplication; keeps the hot loop integer-only
     num, den = floor.numerator, floor.denominator
-    found = set()
+    found = []  # (start, length) ascends with (i, j)
     for i, row in enumerate(table):
         for j in range(i + 1, n):
             p = row[j - i]
@@ -291,11 +298,11 @@ def maximal_periodicities(
                 continue  # left extension keeps the period: not maximal
             if j < n - 1 and row[j - i + 1] == p:
                 continue
-            found.add(Run(i, j - i + 1, p))
+            found.append(Run(i, j - i + 1, p))
     return found
 
 
-def runs_bruteforce(w: Word, max_length: int = BRUTE_FORCE_BOUND) -> set[Run]:
+def runs_bruteforce(w: Word, max_length: int = BRUTE_FORCE_BOUND) -> list[Run]:
     """Definition-chasing oracle for ``find_maximal_repetitions``.
 
     Independent algorithm family: minimal periods of all factors come from

@@ -41,6 +41,14 @@ def all_words(alphabet: Alphabet, min_len: int, max_len: int) -> Iterator[Word]:
             yield Word("".join(tup), alphabet)
 
 
+def fibonacci_prefix(n: int) -> str:
+    """The first n symbols of the infinite Fibonacci word over ``ab``."""
+    shorter, longer = "a", "ab"
+    while len(longer) < n:
+        shorter, longer = longer, longer + shorter
+    return longer[:n]
+
+
 def all_strings(symbols: str, min_len: int, max_len: int) -> Iterator[str]:
     for n in range(min_len, max_len + 1):
         for tup in product(symbols, repeat=n):

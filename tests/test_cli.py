@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import child_env
+from conftest import child_env, fibonacci_prefix
 
 import insrobust
 from insrobust.cli import _inferred_symbols, main
@@ -435,7 +435,7 @@ class TestTracedAttributes:
         from insrobust import Alphabet, Word, cli
 
         found = cli.find_maximal_repetitions(Word("aabaab", Alphabet("ab")))
-        assert isinstance(found, set) and len(found) == 3
+        assert isinstance(found, list) and len(found) == 3
 
 
 class TestTracedRun:
@@ -962,6 +962,166 @@ class TestRecordWriter:
         assert unbuffered == buffered
         if argv[0] == "classify":
             assert buffered[1] == b"\xffa\tins-robust\n"
+
+
+def _launchers():
+    """``python -m insrobust`` and the wrapper an installer generates for the
+    console script that pyproject.toml declares."""
+    module_name, _, func = _console_script("insrobust").partition(":")
+    wrapper = (
+        "import sys\n"
+        f"from {module_name} import {func.split('.')[0]}\n"
+        "sys.argv[0] = 'insrobust'\n"
+        f"sys.exit({func}())\n"
+    )
+    return [
+        pytest.param([sys.executable, "-m", "insrobust"], id="module"),
+        pytest.param([sys.executable, "-c", wrapper], id="script"),
+    ]
+
+
+def _with_buffering(launch, unbuffered):
+    return [launch[0], "-u", *launch[1:]] if unbuffered else launch
+
+
+@pytest.fixture(scope="module")
+def fibonacci_runs():
+    """The 10^5-symbol Fibonacci prefix and its runs' jsonl, written in-process."""
+    word = fibonacci_prefix(100_000)
+    out, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        assert main(["runs", word, "--format", "jsonl"]) == 0
+        written = sys.stdout.getvalue()
+    finally:
+        sys.stdout = out
+    assert written.count("\n") == 76_387
+    return word, written.encode()
+
+
+@pytest.mark.parametrize("launch", _launchers())
+class TestProcessEntry:
+    """Both process entries end by ``cli.run``: the process ends without the
+    interpreter's teardown once stdout and stderr are flushed, and every
+    exit code and output byte is as ``main`` made them."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["file", "pipe"])
+    def test_all_runs_arrive(self, tmp_path, fibonacci_runs, launch, unbuffered, sink):
+        word, expected = fibonacci_runs
+        argv = [*_with_buffering(launch, unbuffered), "runs", word, "--format", "jsonl"]
+        if sink == "file":
+            path = tmp_path / "out.jsonl"
+            with path.open("wb") as out:
+                call = subprocess.run(
+                    argv, stdout=out, stderr=subprocess.PIPE, env=_stdout_env(False), timeout=120
+                )
+            written = path.read_bytes()
+        else:
+            call = subprocess.run(argv, capture_output=True, env=_stdout_env(False), timeout=120)
+            written = call.stdout
+        assert (call.returncode, call.stderr) == (0, b"")
+        assert written == expected
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["count", "2", "2"], 0),
+            (["classify", "ab", "--format", "xml"], 2),  # argparse exits by SystemExit
+            (["census", "3", "30"], 2),
+            (["census", "30", "2"], 3),
+        ],
+        ids=["ok", "argparse", "usage", "budget"],
+    )
+    def test_exit_codes(self, launch, argv, code):
+        call = subprocess.run(
+            [*launch, *argv], capture_output=True, env=_stdout_env(False), timeout=60
+        )
+        assert call.returncode == code, call.stderr
+        assert (call.stdout == b"") == (code != 0)
+        assert (call.stderr == b"") == (code == 0)
+        assert b"Traceback" not in call.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_141(self, launch, unbuffered):
+        proc = subprocess.Popen(
+            [*_with_buffering(launch, unbuffered), "census", "16", "2", "--list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_stdout_env(False),
+        )
+        assert proc.stdout.readline() == b"census n=16 k=2 total=65536\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_lines_before_an_error_are_written(self, launch, unbuffered):
+        # the second word fails its check after the first one's line is
+        # written to stdout's buffer; main returns 2 with that line unflushed
+        call = subprocess.run(
+            [*_with_buffering(launch, unbuffered), "classify", "--alphabet", "ab", "aab", "abc"],
+            capture_output=True,
+            env=_stdout_env(False),
+            timeout=60,
+        )
+        assert call.returncode == 2
+        assert call.stdout == b"aab\tnon-ins-robust\tinsert b at 1 -> ab^2\n"
+        assert call.stderr.startswith(b"error: ")
+
+    def test_warning_reaches_stderr(self, tmp_path, launch):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"aab\n\nabab\n")
+        call = subprocess.run(
+            [*launch, "classify", "--file", str(path)],
+            capture_output=True,
+            env=_stdout_env(False),
+            timeout=60,
+        )
+        assert call.returncode == 0
+        assert call.stdout == b"aab\tnon-ins-robust\tinsert b at 1 -> ab^2\nabab\tnon-primitive\tab^2\n"
+        assert call.stderr == b"warning: skipping blank line 2\n"
+
+    @staticmethod
+    def _patched(launch, patch):
+        # a child that runs ``patch`` on insrobust.cli, then enters as launch does
+        entry = (
+            "import runpy\nrunpy.run_module('insrobust', run_name='__main__')\n"
+            if launch[1] == "-m"
+            else launch[2]
+        )
+        script = f"import sys\nfrom insrobust import cli\n{patch}{entry}"
+        return subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=_stdout_env(False), timeout=60
+        )
+
+    def test_exception_out_of_main_exits_1_with_traceback(self, launch):
+        call = self._patched(
+            launch,
+            "def broken(word):\n"
+            "    raise LookupError('classifier broke')\n"
+            "cli.classify_fast = broken\n"
+            "sys.argv[1:] = ['classify', 'aab']\n",
+        )
+        assert call.returncode == 1
+        assert call.stdout == b""
+        assert b"Traceback" in call.stderr
+        assert call.stderr.endswith(b"LookupError: classifier broke\n")
+
+    def test_what_main_leaves_buffered_is_written(self, launch):
+        # a main that flushes nothing: its text reaches both streams, its
+        # code is the exit status, and atexit hooks do not run
+        call = self._patched(
+            launch,
+            "import atexit\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "def main():\n"
+            "    sys.stdout.write('out')\n"
+            "    sys.stderr.write('err')\n"
+            "    return 5\n"
+            "cli.main = main\n",
+        )
+        assert (call.returncode, call.stdout, call.stderr) == (5, b"out", b"err")
 
 
 def _readme_examples():

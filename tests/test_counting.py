@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from conftest import BINARY, TERNARY, all_strings
@@ -136,6 +137,21 @@ class TestCensus:
             census(15000, BINARY)
         # a budget that exactly fits passes
         assert census(5, BINARY, budget=32).total == 32
+
+    def test_budget_edges(self):
+        for alphabet in (BINARY, TERNARY):
+            k = len(alphabet)
+            for n in range(1, 9):
+                assert census(n, alphabet, budget=k**n).total == k**n
+                with pytest.raises(BudgetExceededError):
+                    census(n, alphabet, budget=k**n - 1)
+
+    def test_long_census_is_refused_before_k_to_the_n(self):
+        # 3^(10^7) has 15.8 million bits: computing it took seconds
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"3\^10000000 words"):
+            census(10**7, TERNARY)
+        assert time.perf_counter() - started < 0.5
 
     def test_oracle_audit_passes(self):
         report = census(6, BINARY, audit_oracle=True)

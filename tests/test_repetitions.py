@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from conftest import BINARY, TERNARY, all_words, child_env
+from conftest import BINARY, TERNARY, all_words, child_env, fibonacci_prefix
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -83,9 +83,9 @@ class TestFindMaximalRepetitions:
         assert (3, 4, 2) not in runs  # "abab" extends right without breaking period 2
 
     def test_short_words(self):
-        assert find_maximal_repetitions(bw("ab")) == set()
-        assert find_maximal_repetitions(bw("a")) == set()
-        assert find_maximal_repetitions(Word("", BINARY)) == set()
+        assert find_maximal_repetitions(bw("ab")) == []
+        assert find_maximal_repetitions(bw("a")) == []
+        assert find_maximal_repetitions(Word("", BINARY)) == []
 
     def test_exhaustive_binary_up_to_10(self):
         # past two letters, the inverted order is more than a swap of two letters
@@ -305,13 +305,6 @@ class TestLyndonReads:
         assert s.read <= 12 * n
 
 
-def _fibonacci_prefix(n: int) -> str:
-    shorter, longer = "a", "ab"
-    while len(longer) < n:
-        shorter, longer = longer, longer + shorter
-    return longer[:n]
-
-
 class TestScalePins:
     def test_fibonacci_prefix_period_histogram(self):
         # runs per period of the 10^5 prefix, from an independent per-period scan
@@ -321,7 +314,7 @@ class TestScalePins:
             987: 45, 1597: 28, 2584: 17, 4181: 10, 6765: 7, 10946: 4, 17711: 2,
             28657: 1, 46368: 1,
         }
-        runs = find_maximal_repetitions(bw(_fibonacci_prefix(100_000)))
+        runs = find_maximal_repetitions(bw(fibonacci_prefix(100_000)))
         assert len(runs) == 76_387
         assert Counter(run.period for run in runs) == histogram
 
@@ -341,6 +334,43 @@ class TestScalePins:
         assert tuples(find_maximal_repetitions(bw(chars))) == expected
 
 
+class TestRunOrder:
+    """The runs come as a list in (start, length) order, each once: as tuples
+    they strictly increase, and both paths give the same list."""
+
+    @pytest.mark.parametrize(
+        "chars, count",
+        [
+            (fibonacci_prefix(100_000), 76_387),
+            ("".join(random.Random(29).choices("ab", k=100_000)), None),
+        ],
+        ids=["fibonacci", "random"],
+    )
+    def test_strictly_increasing_on_both_paths(self, monkeypatch, chars, count):
+        runs = find_maximal_repetitions(bw(chars))
+        assert type(runs) is list and all(type(run) is Run for run in runs)
+        assert all(a < b for a, b in zip(runs, runs[1:]))
+        if count is not None:
+            assert len(runs) == count
+        with monkeypatch.context() as patch:
+            _one_cpu(patch)
+            assert find_maximal_repetitions(bw(chars)) == runs
+
+    def test_a_run_both_orders_find_is_kept_once(self):
+        # (5, 8, 3) ends at the word's end, and each letter order finds it
+        s = "abaababaabaab"
+        for inverted in (False, True):
+            assert (5, 8, 3) in repetitions_module._order_runs(s, inverted)
+        runs = find_maximal_repetitions(bw(s))
+        assert runs.count(Run(5, 8, 3)) == 1
+        assert runs == sorted(set(runs))
+
+    @given(mixed_words)
+    def test_bruteforce_in_start_length_order(self, w):
+        found = maximal_periodicities(w, Fraction(3, 2))
+        assert found == sorted(set(found))
+
+
 _SPLIT_N = repetitions_module._SPLIT_MIN + 3000
 needs_fork = pytest.mark.skipif(
     not (hasattr(os, "fork") and os.path.isdir("/proc/self/task")),
@@ -355,7 +385,7 @@ def _split_words() -> list:
         for symbols in ("ab", "abc")
         for seed in (1, 2)
     ]
-    words.append(("fibonacci", _fibonacci_prefix(_SPLIT_N)))
+    words.append(("fibonacci", fibonacci_prefix(_SPLIT_N)))
     words.append(("(a^999 b)^100", ("a" * 999 + "b") * 100))
     astral = "\U0001f600\U0001f601a"
     words.append(("astral", "".join(rng.choices(astral, k=_SPLIT_N))))
@@ -454,7 +484,7 @@ class TestTwoProcessSplit:
         def no_fork():
             raise BlockingIOError("fork")
 
-        w = bw(_fibonacci_prefix(_SPLIT_N))
+        w = bw(fibonacci_prefix(_SPLIT_N))
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             patch.setattr(os, "fork", no_fork)
@@ -467,7 +497,7 @@ class TestTwoProcessSplit:
         def refuse():
             raise AssertionError("forked")
 
-        w = bw(_fibonacci_prefix(_SPLIT_N))
+        w = bw(fibonacci_prefix(_SPLIT_N))
         with monkeypatch.context() as patch:
             patch.setattr(os, "fork", refuse)
             _one_cpu(patch)
@@ -488,7 +518,7 @@ class TestTwoProcessSplit:
         def refuse():
             raise AssertionError("forked")
 
-        w = bw(_fibonacci_prefix(repetitions_module._SPLIT_MIN - 1))
+        w = bw(fibonacci_prefix(repetitions_module._SPLIT_MIN - 1))
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             patch.setattr(os, "fork", refuse)
@@ -517,14 +547,14 @@ class TestTwoProcessSplit:
 class TestRunsBruteforce:
     def test_fixtures(self):
         assert tuples(runs_bruteforce(bw("abab"))) == {(0, 4, 2)}
-        assert runs_bruteforce(bw("ab")) == set()
+        assert runs_bruteforce(bw("ab")) == []
         reference = bw("abaababaabaab")
         assert runs_bruteforce(reference) == find_maximal_repetitions(reference)
 
     def test_length_bound(self):
         with pytest.raises(ValueError):
             runs_bruteforce(bw("a" * 65))
-        assert runs_bruteforce(bw("a" * 80), max_length=80) == {Run(0, 80, 1)}
+        assert runs_bruteforce(bw("a" * 80), max_length=80) == [Run(0, 80, 1)]
 
 
 class TestMaximalPeriodicities:
@@ -536,7 +566,7 @@ class TestMaximalPeriodicities:
         assert tuples(maximal_periodicities(bw("abab"), 2)) == {(0, 4, 2)}
 
     def test_no_findings(self):
-        assert maximal_periodicities(bw("ab"), 1.1) == set()
+        assert maximal_periodicities(bw("ab"), 1.1) == []
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
