@@ -17,12 +17,11 @@ D, and at most one gap is that long (``_leftmost_periodic_start``).  Evenly
 spaced blocks of at most (n-p+1)//2 positions of s are compared with the
 same blocks of the rotation s[p:] + s[:p]; that gap would hold a whole block,
 so if every block differs no window fits.  That decides almost every period
-of a random word.  A block that agrees is extended to the gap holding it by
-galloping slice compares on s + s + s[:p], where the symbol p past j is the
-rotation's symbol at j.  A word costs O(n · ω(n+1)) symbols of memcmp,
-fragile or not, and O(ω(n+1)) Python steps when every block differs.  A
-decision holds one rotation copy of n symbols and one block slice, plus
-s + s + s[:p] (2n + p symbols) only once a block agrees.  The
+of a random word.  Both the block compares and the galloping slice compares
+that extend an agreeing block to its gap read one string, s + s + s[:p],
+where the symbol p past j is the rotation's symbol at j.  A word costs
+O(n · ω(n+1)) symbols of memcmp, fragile or not, and O(ω(n+1)) Python steps
+when every block differs.  Memory: 2n + p symbols per decision.  The
 primitivity check is ``words._root_length``, by rotation compares; the
 oracle keeps ``(s + s).find(s, 1)`` as an independent check.
 """
@@ -118,26 +117,24 @@ def _leftmost_periodic_start(s: str, n: int, p: int) -> int | None:
     between them, so at most one gap is long enough.  [0, n) is cut into
     evenly spaced blocks of at most (n-p+1)//2 positions, so that gap holds a
     whole block; a block of s that differs from the same block of the rotation
-    s[p:] + s[:p] meets D.  A block that agrees is extended forward to the
-    end of its gap; one compare of the symbols before it tells whether the
-    gap is long enough, and only then is it extended back to its start.  A
-    short gap is skipped with the blocks it holds.  Memory: one rotation
-    copy, plus s + s + s[:p] once a block agrees.
+    s[p:] + s[:p] meets D.  The rotation is read at offset p in t = s + s +
+    s[:p], built once, which the extensions read too.  A block that agrees is
+    extended forward to the end of its gap; one compare of the symbols before
+    it tells whether the gap is long enough, and only then is it extended
+    back to its start.  A short gap is skipped with the blocks it holds.
+    Memory: 2n + p symbols per decision, in t, and one block slice.
     """
     need = n - p
     if need <= 0:
         return 0
-    rot = s[p:] + s[:p]
+    t = "".join((s, s, s[:p]))  # t[j + p] is the rotation's symbol at j mod n
     blocks = -(-n // ((need + 1) // 2))
-    t = ""  # s + s + s[:p], once a block agrees: t[j + p] is rot[j mod n]
     k = 0
     while k < blocks:
         start, end = k * n // blocks, (k + 1) * n // blocks
         k += 1
-        if not rot.startswith(s[start:end], start):
+        if not t.startswith(s[start:end], start + p):
             continue
-        if not t:
-            t = s + s + s[:p]
         room = n - (end - start)
         fwd = _lce(t, end, end + p, room)
         if fwd == room:  # D is empty: every window fits

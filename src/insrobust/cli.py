@@ -46,6 +46,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout, as `| head` does
 
+# the one codec rule for CLI words, each byte one symbol or UTF-8 under --unicode,
+# both ways with surrogateescape: a word echoes as its input bytes, whatever
+# stdout's encoding (latin-1 never needs an escape)
+_CODECS = {False: "latin-1", True: "utf-8"}
+
 # one encoder for every JSON line; json.dumps with separators builds a new one per call
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -78,9 +83,8 @@ def _emit(fmt: str, records, human, columns=()) -> None:
 
 
 def _symbols_of(data: bytes, unicode_mode: bool) -> str:
-    # the one decoding rule for argv (the bytes os.fsencode gives back), --file
-    # and stdin: each byte one symbol, or UTF-8 with stray bytes escaped
-    return data.decode("utf-8", "surrogateescape") if unicode_mode else data.decode("latin-1")
+    # the one decoding of argv (the bytes os.fsencode gives back), --file and stdin
+    return data.decode(_CODECS[unicode_mode], "surrogateescape")
 
 
 def _read_lines(handle, unicode_mode: bool) -> list[str]:
@@ -382,6 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument(
         "--unicode", action="store_true", help="treat input as codepoints instead of bytes"
     )
+    p_classify.set_defaults(handler=_cmd_classify)
 
     p_runs = sub.add_parser("runs", help="list the maximal repetitions of a word")
     p_runs.add_argument("word")
@@ -389,6 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_runs.add_argument(
         "--unicode", action="store_true", help="treat input as codepoints instead of bytes"
     )
+    p_runs.set_defaults(handler=_cmd_runs)
 
     p_census = sub.add_parser(
         "census",
@@ -409,11 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest k^n, the number of words, to accept (default %(default)s)",
     )
     p_census.add_argument("--format", choices=("human", "jsonl", "csv"), default="human")
+    p_census.set_defaults(handler=_cmd_census)
 
     p_count = sub.add_parser("count", help="closed-form counts and bounds")
     p_count.add_argument("n", type=int)
     p_count.add_argument("k", type=int)
     p_count.add_argument("--format", choices=("human", "jsonl", "csv"), default="human")
+    p_count.set_defaults(handler=_cmd_count)
 
     p_bench = sub.add_parser("bench", help="time the classifier on seeded random words")
     p_bench.add_argument(
@@ -427,14 +435,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=20000,
         help="largest n at which the oracle is also timed",
     )
+    p_bench.set_defaults(handler=_cmd_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # every symbol is written back in the codec _symbols_of read it with, so
-    # a word echoes as its input bytes, whatever stdout's encoding
-    codec = "utf-8" if getattr(args, "unicode", False) else "latin-1"
+    codec = _CODECS[getattr(args, "unicode", False)]
     out, restore = sys.stdout, None
     if isinstance(getattr(out, "buffer", None), io.RawIOBase):
         # under python -u a write cut short by a closed pipe goes unreported;
@@ -443,15 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     elif hasattr(out, "reconfigure"):
         restore = {"encoding": out.encoding, "errors": out.errors}
         out.reconfigure(encoding=codec, errors="surrogateescape")
-    handlers = {
-        "classify": _cmd_classify,
-        "runs": _cmd_runs,
-        "census": _cmd_census,
-        "count": _cmd_count,
-        "bench": _cmd_bench,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

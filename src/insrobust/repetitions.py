@@ -5,8 +5,8 @@ and which cannot be extended by one symbol in either direction without
 strictly increasing its minimal period.  The module holds:
 
 - ``find_maximal_repetitions``, the exact runs from Lyndon roots, as a list
-  in (start, length) order; its docstring gives the method, the
-  two-process split and the cost;
+  in (start, length) order, a run at the word's end from the code-point order
+  alone; its docstring gives the method, the two-process split and the cost;
 - ``maximal_periodicities``, the O(n^2) definition-chasing scan for the
   maximal periodic factors of exponent at least a floor above 1 (some
   insertion witnesses fall below 2); ``runs_bruteforce`` is it at floor 2;
@@ -19,7 +19,6 @@ from __future__ import annotations
 import marshal
 import os
 import re
-from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple
 
 from .words import Word, _border
@@ -117,7 +116,8 @@ def _order_runs(s: str, inverted: bool) -> list[tuple[int, int, int]]:
     # The (start, length, period) triples of the runs of period >= 2 whose
     # Lyndon root is the longest Lyndon word at its start under one letter
     # order.  A candidate inside the last run this order found with its period
-    # is skipped, since it would extend to that run again.
+    # is skipped, since it would extend to that run again.  A run that ends at
+    # the word's end is the code-point order's to report, as both find it.
     n = len(s)
     found = []
     last_end: dict[int, int] = {}  # period -> end of the last run found with it
@@ -142,7 +142,8 @@ def _order_runs(s: str, inverted: bool) -> list[tuple[int, int, int]]:
             continue
         fwd = _lce(s, i, e, n - e, matched)
         if fwd + back >= p:
-            found.append((i - back, p + fwd + back, p))
+            if not inverted or e + fwd < n:
+                found.append((i - back, p + fwd + back, p))
             last_end[p] = e + fwd
     return found
 
@@ -225,9 +226,11 @@ def find_maximal_repetitions(w: Word) -> list[Run]:
     is needed.  The two letter orders are searched apart, and the result is
     the union of their runs: a candidate inside the last run found with its
     period under its own order is skipped, since it would extend to that run
-    again.  The runs of period 1 are the maximal letter blocks of length >= 2,
-    found by one regular expression pass, so no candidate of period 1 is
-    extended.
+    again.  A run [a, b) with b < n is found only by the order under which
+    s[b] < s[b-p]; one that ends at the word's end is found by both, since
+    nothing follows it, and only the code-point order reports it.  The runs
+    of period 1 are the maximal letter blocks of length >= 2, found by one
+    regular expression pass, so no candidate of period 1 is extended.
 
     The root candidates of one order never depend on the other, so on a word
     of at least ``_SPLIT_MIN`` symbols, where ``os.fork`` exists, the
@@ -258,11 +261,9 @@ def find_maximal_repetitions(w: Word) -> list[Run]:
     else:
         triples = _order_runs(s, False) + _order_runs(s, True)
     triples += [(m.start(), m.end() - m.start(), 1) for m in _LETTER_BLOCKS.finditer(s)]
-    # each order's triples are mostly in order already, so timsort merges
-    # them; a run both orders find (one that ends at the word's end) is then
-    # two adjacent equal triples, and is kept once
+    # each order's triples are mostly in order already, so timsort merges them
     triples.sort()
-    return [Run._make(triple) for triple, _ in groupby(triples)]
+    return list(map(Run._make, triples))
 
 
 def maximal_periodicities(

@@ -94,6 +94,9 @@ class TestFindMaximalRepetitions:
         )
         for w in words:
             assert find_maximal_repetitions(w) == runs_bruteforce(w), w.chars
+            # a run at the word's end is the code-point order's to report
+            inverted = repetitions_module._order_runs(w.chars, True)
+            assert all(start + length < len(w.chars) for start, length, _ in inverted), w.chars
 
     def test_seeded_random_words(self):
         rng = random.Random(7)
@@ -357,10 +360,11 @@ class TestRunOrder:
             assert find_maximal_repetitions(bw(chars)) == runs
 
     def test_a_run_both_orders_find_is_kept_once(self):
-        # (5, 8, 3) ends at the word's end, and each letter order finds it
+        # (5, 8, 3) ends at the word's end: each letter order finds it, and
+        # only the code-point order reports it
         s = "abaababaabaab"
-        for inverted in (False, True):
-            assert (5, 8, 3) in repetitions_module._order_runs(s, inverted)
+        assert (5, 8, 3) in repetitions_module._order_runs(s, False)
+        assert (5, 8, 3) not in repetitions_module._order_runs(s, True)
         runs = find_maximal_repetitions(bw(s))
         assert runs.count(Run(5, 8, 3)) == 1
         assert runs == sorted(set(runs))
